@@ -321,9 +321,8 @@ func BenchmarkSecureMapReduceOverhead(b *testing.B) {
 		}
 	})
 	b.Run("secure", func(b *testing.B) {
-		p := enclave.NewPlatform(enclave.Config{})
 		var root cryptbox.Key
-		eng, err := mapreduce.NewSecureEngine(p, 4, root)
+		eng, err := mapreduce.NewParallelSecureEngine(root, mapreduce.ParallelConfig{Workers: 4})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,14 +3,14 @@
 // flows through an attested ReplicaSet while the orchestrator samples
 // queue depths and service cycles each simulated millisecond and adapts.
 //
-// Two scenario families run. The four legacy scenarios (replica crash,
-// load spike, hot-key skew, slow replica) exercise the orchestrator's
-// scaling rules; the declarative lab matrix (overload, noisy-neighbor,
-// cascade, slow-network, recovery) exercises tenant-aware admission
-// control — token buckets, weighted-fair dequeue, shed-with-retry-after,
-// hot-key splitting and client retry — and each lab spec carries its own
-// assertion table, whose verdict is recorded in the JSON and gated by
-// cmd/bench-check.
+// Every scenario is a microsvc.ScenarioSpec run through microsvc.RunSpec,
+// in two families. The four DefaultScenarios (replica crash, load spike,
+// hot-key skew, slow replica) exercise the orchestrator's scaling rules;
+// the lab matrix (overload, noisy-neighbor, cascade, slow-network,
+// recovery) exercises tenant-aware admission control — token buckets,
+// weighted-fair dequeue, shed-with-retry-after, hot-key splitting and
+// client retry — and each lab spec carries its own assertion table, whose
+// verdict is recorded in the JSON and gated by cmd/bench-check.
 //
 // Each scenario runs once per worker count (default 1,2,4,8). Worker count
 // is execution-only, so the adaptation trace, the per-replica cycle totals
@@ -149,7 +149,7 @@ func main() {
 		start := time.Now()
 		for i, w := range workerCounts {
 			sc.Workers = w
-			res, err := microsvc.RunScenario(sc)
+			res, err := microsvc.RunSpec(sc)
 			if err != nil {
 				fail("scenario %s workers=%d: %v", sc.Name, w, err)
 			}

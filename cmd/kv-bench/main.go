@@ -198,7 +198,7 @@ func main() {
 	out.KV.StoreFootprintMB = ss.Len()
 
 	// Self-check against the sequential reference store.
-	plain, err := kvstore.New(key, *seed)
+	plain, err := kvstore.NewStore(key, kvstore.Options{Seed: *seed})
 	if err != nil {
 		fail(err)
 	}

@@ -13,9 +13,10 @@
 //   - fsshield, shield, sconert, image, registry, container — the SCONE
 //     secure-container layer: protected file systems, shielded syscalls,
 //     the SCF/CAS startup protocol, and the secure Docker workflow.
-//   - eventbus, microsvc, scbr — the micro-service and messaging layer,
-//     including the SCBR content-based router whose EPC-paging behaviour
-//     is the paper's Figure 3.
+//   - eventbus, microsvc, scbr — the micro-service and messaging layer:
+//     the sealed event bus, attested micro-service replica sets
+//     (microsvc.ReplicaSet, the one serve path) and the SCBR content-based
+//     router whose EPC-paging behaviour is the paper's Figure 3.
 //   - kvstore, mapreduce, genpack, smartgrid — the big data layer: secure
 //     structured storage, secure map/reduce, the GenPack generational
 //     scheduler (the 23% energy claim) and the smart-grid use cases.
@@ -158,8 +159,9 @@
 //     service revocation (KeyBroker.Revoke) and platform revocation
 //     (Service.Revoke) take effect immediately, cache or no cache.
 //
-//   - Serve (microsvc.ReplicaSet). A service runs as N enclave-per-replica
-//     workers behind an attested front-end dispatcher. Every component
+//   - Serve (microsvc.ReplicaSet, the only way a micro-service serves).
+//     A service runs as N enclave-per-replica workers behind an attested
+//     front-end dispatcher. Every component
 //     boots the paper's sequence — attest, fetch keys, subscribe — either
 //     directly (enclave.NewSignedWorker on a fresh platform) or through
 //     the full container path (container.LaunchNode + Engine.Run: image
@@ -237,9 +239,8 @@
 // result's flat metric map — so a new scenario is ~20 lines.
 // microsvc.LabScenarios pins eight: overload, noisy-neighbor, cascade,
 // slow-network, recovery, crash-state, key-revocation and
-// delta-durability; the legacy
-// scenarios run through the same engine via Scenario.Spec, replaying the
-// exact pre-engine RNG stream.
+// delta-durability; the four DefaultScenarios are ScenarioSpec literals
+// on the uniform profile and run through the same RunSpec.
 // cmd/app-bench sweeps the lab across worker counts, asserts every
 // metric bit-identical, evaluates each spec's assertions, and runs the
 // overload spike once more with the controller stripped

@@ -349,9 +349,7 @@ type Publisher struct {
 }
 
 // EndpointConfig configures one bus endpoint — publisher or subscriber.
-// It replaces the NewX/NewXAccounted constructor pairs with a single
-// config-struct shape: the zero Accounting leaves the endpoint
-// unaccounted, exactly like the old unaccounted constructors.
+// The zero Accounting leaves the endpoint unaccounted.
 type EndpointConfig struct {
 	Bus   *Bus
 	Topic string
@@ -375,21 +373,6 @@ func OpenPublisher(cfg EndpointConfig) (*Publisher, error) {
 		aad:   []byte("topic|" + cfg.Topic),
 		stage: newAcctStage(cfg.Accounting),
 	}, nil
-}
-
-// NewPublisher builds a publisher for topic with its topic key.
-//
-// Deprecated: use OpenPublisher.
-func NewPublisher(bus *Bus, topic string, key cryptbox.Key) (*Publisher, error) {
-	return OpenPublisher(EndpointConfig{Bus: bus, Topic: topic, Key: key})
-}
-
-// NewPublisherAccounted builds a publisher whose outbound copies are
-// charged to the given simulated memory view.
-//
-// Deprecated: use OpenPublisher with EndpointConfig.Accounting.
-func NewPublisherAccounted(bus *Bus, topic string, key cryptbox.Key, acct Accounting) (*Publisher, error) {
-	return OpenPublisher(EndpointConfig{Bus: bus, Topic: topic, Key: key, Accounting: acct})
 }
 
 // Publish seals body and hands it to the bus, returning its sequence
@@ -466,21 +449,6 @@ func OpenSubscriber(cfg EndpointConfig) (*Subscriber, error) {
 		aad:    []byte("topic|" + cfg.Topic),
 		handle: h, stage: newAcctStage(cfg.Accounting),
 	}, nil
-}
-
-// NewSubscriber registers a subscription on topic with its topic key.
-//
-// Deprecated: use OpenSubscriber.
-func NewSubscriber(bus *Bus, topic string, key cryptbox.Key) (*Subscriber, error) {
-	return OpenSubscriber(EndpointConfig{Bus: bus, Topic: topic, Key: key})
-}
-
-// NewSubscriberAccounted registers a subscription whose inbound copies
-// are charged to the given simulated memory view.
-//
-// Deprecated: use OpenSubscriber with EndpointConfig.Accounting.
-func NewSubscriberAccounted(bus *Bus, topic string, key cryptbox.Key, acct Accounting) (*Subscriber, error) {
-	return OpenSubscriber(EndpointConfig{Bus: bus, Topic: topic, Key: key, Accounting: acct})
 }
 
 // Depth reports this subscriber's pending-queue length in one bus-lock

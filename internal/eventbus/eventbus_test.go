@@ -22,11 +22,11 @@ func topicPair(t *testing.T, bus *Bus, topic string) (*Publisher, *Subscriber) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPublisher(bus, topic, key)
+	p, err := OpenPublisher(EndpointConfig{Bus: bus, Topic: topic, Key: key})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSubscriber(bus, topic, key)
+	s, err := OpenSubscriber(EndpointConfig{Bus: bus, Topic: topic, Key: key})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +61,10 @@ func TestPublishReceive(t *testing.T) {
 func TestFanOut(t *testing.T) {
 	bus := New()
 	key, _ := TopicKey(appRoot(), "alerts")
-	p, _ := NewPublisher(bus, "alerts", key)
+	p, _ := OpenPublisher(EndpointConfig{Bus: bus, Topic: "alerts", Key: key})
 	var subs []*Subscriber
 	for i := 0; i < 3; i++ {
-		s, err := NewSubscriber(bus, "alerts", key)
+		s, err := OpenSubscriber(EndpointConfig{Bus: bus, Topic: "alerts", Key: key})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,11 +122,11 @@ func TestTamperedMessageRejected(t *testing.T) {
 func TestCrossTopicReplayRejected(t *testing.T) {
 	bus := New()
 	keyA, _ := TopicKey(appRoot(), "a")
-	pA, _ := NewPublisher(bus, "a", keyA)
+	pA, _ := OpenPublisher(EndpointConfig{Bus: bus, Topic: "a", Key: keyA})
 	// Subscriber on topic b using the key of topic b — but the bus
 	// maliciously moves a's message into b's queue.
 	keyB, _ := TopicKey(appRoot(), "b")
-	sB, _ := NewSubscriber(bus, "b", keyB)
+	sB, _ := OpenSubscriber(EndpointConfig{Bus: bus, Topic: "b", Key: keyB})
 	if _, err := pA.Publish([]byte("for-a")); err != nil {
 		t.Fatal(err)
 	}
@@ -186,9 +186,9 @@ func TestTopicKeysIndependent(t *testing.T) {
 func TestWrongKeyCannotRead(t *testing.T) {
 	bus := New()
 	keyA, _ := TopicKey(appRoot(), "a")
-	p, _ := NewPublisher(bus, "a", keyA)
+	p, _ := OpenPublisher(EndpointConfig{Bus: bus, Topic: "a", Key: keyA})
 	wrong, _ := TopicKey(appRoot(), "other")
-	s, err := NewSubscriber(bus, "a", wrong)
+	s, err := OpenSubscriber(EndpointConfig{Bus: bus, Topic: "a", Key: wrong})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestClosedBus(t *testing.T) {
 		t.Fatalf("publish on closed bus: %v", err)
 	}
 	key, _ := TopicKey(appRoot(), "t")
-	if _, err := NewSubscriber(bus, "t", key); !errors.Is(err, ErrClosed) {
+	if _, err := OpenSubscriber(EndpointConfig{Bus: bus, Topic: "t", Key: key}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("subscribe on closed bus: %v", err)
 	}
 }
@@ -327,13 +327,13 @@ func TestLeaseTamperDetected(t *testing.T) {
 func TestConcurrentPublishers(t *testing.T) {
 	bus := New()
 	key, _ := TopicKey(appRoot(), "t")
-	s, _ := NewSubscriber(bus, "t", key)
+	s, _ := OpenSubscriber(EndpointConfig{Bus: bus, Topic: "t", Key: key})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p, _ := NewPublisher(bus, "t", key)
+			p, _ := OpenPublisher(EndpointConfig{Bus: bus, Topic: "t", Key: key})
 			for i := 0; i < 100; i++ {
 				if _, err := p.Publish([]byte("m")); err != nil {
 					t.Error(err)
@@ -355,13 +355,13 @@ func TestConcurrentPublishers(t *testing.T) {
 func TestPublishBatchFanOut(t *testing.T) {
 	bus := New()
 	key, _ := TopicKey(appRoot(), "batch")
-	pub, err := NewPublisher(bus, "batch", key)
+	pub, err := OpenPublisher(EndpointConfig{Bus: bus, Topic: "batch", Key: key})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var subs []*Subscriber
 	for i := 0; i < 3; i++ {
-		s, err := NewSubscriber(bus, "batch", key)
+		s, err := OpenSubscriber(EndpointConfig{Bus: bus, Topic: "batch", Key: key})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,8 +392,8 @@ func TestPublishBatchFanOut(t *testing.T) {
 func TestPublishBatchBackPressureAllOrNothing(t *testing.T) {
 	bus := New()
 	key, _ := TopicKey(appRoot(), "bp")
-	pub, _ := NewPublisher(bus, "bp", key)
-	sub, _ := NewSubscriber(bus, "bp", key)
+	pub, _ := OpenPublisher(EndpointConfig{Bus: bus, Topic: "bp", Key: key})
+	sub, _ := OpenSubscriber(EndpointConfig{Bus: bus, Topic: "bp", Key: key})
 	for i := 0; i < QueueLimit-1; i++ {
 		if _, err := pub.Publish([]byte("x")); err != nil {
 			t.Fatal(err)
@@ -415,8 +415,8 @@ func TestPublishBatchBackPressureAllOrNothing(t *testing.T) {
 func TestPollBatchBounded(t *testing.T) {
 	bus := New()
 	key, _ := TopicKey(appRoot(), "poll")
-	pub, _ := NewPublisher(bus, "poll", key)
-	sub, _ := NewSubscriber(bus, "poll", key)
+	pub, _ := OpenPublisher(EndpointConfig{Bus: bus, Topic: "poll", Key: key})
+	sub, _ := OpenSubscriber(EndpointConfig{Bus: bus, Topic: "poll", Key: key})
 	for i := 0; i < 10; i++ {
 		if _, err := pub.Publish([]byte{byte('0' + i)}); err != nil {
 			t.Fatal(err)
@@ -447,9 +447,9 @@ func TestPollBatchBounded(t *testing.T) {
 func TestUnsubscribePrunesLeases(t *testing.T) {
 	bus := New()
 	key, _ := TopicKey(appRoot(), "churn")
-	pub, _ := NewPublisher(bus, "churn", key)
+	pub, _ := OpenPublisher(EndpointConfig{Bus: bus, Topic: "churn", Key: key})
 	for round := 0; round < 50; round++ {
-		sub, err := NewSubscriber(bus, "churn", key)
+		sub, err := OpenSubscriber(EndpointConfig{Bus: bus, Topic: "churn", Key: key})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -473,7 +473,7 @@ func TestUnsubscribePrunesLeases(t *testing.T) {
 	}
 	// Sequence numbers survive churn: a fresh subscriber still sees
 	// monotonically increasing sequences.
-	sub, _ := NewSubscriber(bus, "churn", key)
+	sub, _ := OpenSubscriber(EndpointConfig{Bus: bus, Topic: "churn", Key: key})
 	seq, err := pub.Publish([]byte("after"))
 	if err != nil {
 		t.Fatal(err)
@@ -491,8 +491,8 @@ func TestUnsubscribePrunesLeases(t *testing.T) {
 func TestAckPrunesEmptyLeaseMaps(t *testing.T) {
 	bus := New()
 	key, _ := TopicKey(appRoot(), "ack")
-	pub, _ := NewPublisher(bus, "ack", key)
-	sub, _ := NewSubscriber(bus, "ack", key)
+	pub, _ := OpenPublisher(EndpointConfig{Bus: bus, Topic: "ack", Key: key})
+	sub, _ := OpenSubscriber(EndpointConfig{Bus: bus, Topic: "ack", Key: key})
 	if _, err := pub.Publish([]byte("one")); err != nil {
 		t.Fatal(err)
 	}
@@ -568,7 +568,7 @@ func TestSubscriberDepthIndependentPerSubscriber(t *testing.T) {
 	bus := New()
 	p, fast := topicPair(t, bus, "t")
 	key, _ := TopicKey(appRoot(), "t")
-	slow, err := NewSubscriber(bus, "t", key)
+	slow, err := OpenSubscriber(EndpointConfig{Bus: bus, Topic: "t", Key: key})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -650,7 +650,7 @@ func TestQueueLimitPersistsAcrossSubscriberChurn(t *testing.T) {
 		t.Fatal("topic queue map survived last unsubscribe")
 	}
 	key, _ := TopicKey(appRoot(), "t")
-	s2, err := NewSubscriber(bus, "t", key)
+	s2, err := OpenSubscriber(EndpointConfig{Bus: bus, Topic: "t", Key: key})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -677,7 +677,7 @@ func TestUnsubscribePrunesOnlyOwnQueue(t *testing.T) {
 	bus := New()
 	p, a := topicPair(t, bus, "t")
 	key, _ := TopicKey(appRoot(), "t")
-	b, err := NewSubscriber(bus, "t", key)
+	b, err := OpenSubscriber(EndpointConfig{Bus: bus, Topic: "t", Key: key})
 	if err != nil {
 		t.Fatal(err)
 	}

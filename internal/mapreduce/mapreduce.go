@@ -4,8 +4,8 @@
 // enclaves and seals all intermediate (shuffle) data, so the untrusted
 // cloud sees neither records nor intermediate aggregates.
 //
-// The plain engine is the functional reference; the secure engine must
-// produce identical results while keeping plaintext inside enclaves only —
+// The plain engine (Run) is the functional reference; the secure engine
+// (ParallelSecureEngine) must produce identical results while keeping plaintext inside enclaves only —
 // cross-checked by the test suite.
 package mapreduce
 

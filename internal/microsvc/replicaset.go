@@ -1,3 +1,16 @@
+// Package microsvc implements SecureCloud's dependable micro-service
+// framework (paper §III-B(2)): the application logic of each micro-service
+// runs inside an enclave; the micro-service runtime outside the enclave
+// only ever handles encrypted data. Requests, responses and bus traffic
+// cross the boundary as sealed blobs, with the encryption and decryption
+// performed "automatically and transparently within the enclave"
+// (paper §IV).
+//
+// A ReplicaSet is the one serve path: attested replicas consume sealed
+// request frames from an input topic, open and handle them inside their
+// enclaves, and publish sealed replies to an output topic, which a
+// PlaneClient (or the wire gateway) reads. Micro-services compose into
+// applications over the event bus this way (Figure 1).
 package microsvc
 
 import (
@@ -48,7 +61,22 @@ import (
 var (
 	ErrNoLiveReplicas = errors.New("microsvc: replica set has no replicas")
 	ErrBadFrame       = errors.New("microsvc: malformed request frame")
+	ErrSealedRequest  = errors.New("microsvc: request failed authentication")
 )
+
+// Handler is the application logic living inside the enclave. It sees
+// plaintext; nothing outside the replica's enclave ever does.
+type Handler func(req []byte) ([]byte, error)
+
+// Stats is a monitoring snapshot of one replica. All fields are read from
+// atomics: sampling never blocks the serve path.
+type Stats struct {
+	// Served counts successfully handled requests; Failed counts requests
+	// that failed authentication, whose handler returned an error, or
+	// whose response could not be sealed.
+	Served uint64
+	Failed uint64
+}
 
 // replicaStageBytes is the per-replica staging window through which sealed
 // requests and responses are charged to the replica's simulated memory.
@@ -1124,8 +1152,9 @@ func routeIndex(key string, n int) int {
 }
 
 // reqAADFor / respAADFor / shedAADFor bind plane frames to the service and
-// direction, matching the single-service AADs so a reply can never replay
-// as a request — and a shed notice can never replay as a served reply.
+// direction, so a frame sealed for one service never opens in another, a
+// reply can never replay as a request, and a shed notice can never replay
+// as a served reply.
 func reqAADFor(name string) []byte  { return []byte("req|" + name) }
 func respAADFor(name string) []byte { return []byte("resp|" + name) }
 func shedAADFor(name string) []byte { return []byte("shed|" + name) }
@@ -1365,11 +1394,11 @@ func NewPlaneClient(bus *eventbus.Bus, name string, keys attest.ServiceKeys, inT
 	if !ok {
 		return nil, fmt.Errorf("microsvc: client has no stream key for %s", outTopic)
 	}
-	pub, err := eventbus.NewPublisher(bus, inTopic, inKey)
+	pub, err := eventbus.OpenPublisher(eventbus.EndpointConfig{Bus: bus, Topic: inTopic, Key: inKey})
 	if err != nil {
 		return nil, err
 	}
-	sub, err := eventbus.NewSubscriber(bus, outTopic, outKey)
+	sub, err := eventbus.OpenSubscriber(eventbus.EndpointConfig{Bus: bus, Topic: outTopic, Key: outKey})
 	if err != nil {
 		return nil, err
 	}

@@ -12,6 +12,7 @@ import (
 	"securecloud/internal/attest"
 	"securecloud/internal/container"
 	"securecloud/internal/cryptbox"
+	"securecloud/internal/enclave"
 	"securecloud/internal/eventbus"
 	"securecloud/internal/image"
 	"securecloud/internal/orchestrator"
@@ -585,5 +586,240 @@ func TestRetireUnderAdmissionNoLossNoDoubleServe(t *testing.T) {
 	ts, ok := adm.ByTenant["t"]
 	if !ok || ts.Admitted != 8 || ts.Dispatched != 8 || ts.Shed != 4 {
 		t.Fatalf("tenant stats = %+v, want Admitted 8 Dispatched 8 Shed 4", ts)
+	}
+}
+
+// upperPlane is a one-replica set that upper-cases requests, a client, and
+// raw endpoints on both topics: a publisher on the request topic injects
+// hand-built frames (what any holder of the topic key, or a replaying bus,
+// can send) and a subscriber captures the reply frames the set publishes.
+type upperPlane struct {
+	rs     *ReplicaSet
+	client *PlaneClient
+	keys   attest.ServiceKeys
+	rawIn  *eventbus.Publisher
+	rawOut *eventbus.Subscriber
+}
+
+func newUpperPlane(t *testing.T, handler Handler) *upperPlane {
+	t.Helper()
+	const name = "plane/upper"
+	bus, svc, kb, keys := planeFixture(t, name, "u/req", "u/resp")
+	if handler == nil {
+		handler = func(req []byte) ([]byte, error) { return bytes.ToUpper(req), nil }
+	}
+	rs, err := NewReplicaSet(bus, svc, kb, name, handler,
+		ReplicaSetConfig{Replicas: 1, InTopic: "u/req", OutTopic: "u/resp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rs.Stop)
+	client, err := NewPlaneClient(bus, name, keys, "u/req", "u/resp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(client.Close)
+	rawIn, err := eventbus.OpenPublisher(eventbus.EndpointConfig{Bus: bus, Topic: "u/req", Key: keys.Topics["u/req"]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawOut, err := eventbus.OpenSubscriber(eventbus.EndpointConfig{Bus: bus, Topic: "u/resp", Key: keys.Topics["u/resp"]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rawOut.Close)
+	return &upperPlane{rs: rs, client: client, keys: keys, rawIn: rawIn, rawOut: rawOut}
+}
+
+// requestFrame seals body for service under key, as a client would.
+func requestFrame(t *testing.T, key cryptbox.Key, service string, body []byte) []byte {
+	t.Helper()
+	box, err := cryptbox.NewBox(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := box.Seal(body, reqAADFor(service))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return encodeFrame("k", sealed)
+}
+
+// expectRejected steps the set and requires every polled frame to count
+// as Failed, with nothing served and no reply published.
+func (p *upperPlane) expectRejected(t *testing.T, frames int) {
+	t.Helper()
+	st, err := p.rs.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Polled != frames || st.Failed != frames || st.Served != 0 || st.Replies != 0 {
+		t.Fatalf("step = %+v, want %d failed and nothing served", st, frames)
+	}
+	if msgs, err := p.rawOut.Receive(); err != nil || len(msgs) != 0 {
+		t.Fatalf("rejected request answered: %d replies, err %v", len(msgs), err)
+	}
+}
+
+// TestCallRoundTrip: one sealed request through the client comes back
+// opened and transformed, counted once as served.
+func TestCallRoundTrip(t *testing.T) {
+	p := newUpperPlane(t, nil)
+	if err := p.client.Send("meter-1", []byte("hello grid")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.rs.Step(); err != nil {
+		t.Fatal(err)
+	}
+	replies, err := p.client.Replies()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(replies) != 1 || string(replies[0].Body) != "HELLO GRID" {
+		t.Fatalf("replies = %+v", replies)
+	}
+	if tot := p.rs.Totals(); tot.Served != 1 || tot.Failed != 0 {
+		t.Fatalf("totals = %+v", tot)
+	}
+}
+
+// TestInvokeRejectsForgedRequest: a request frame with one flipped bit, or
+// one sealed under a foreign key, fails closed inside the replica — it
+// counts as Failed and gets no reply.
+func TestInvokeRejectsForgedRequest(t *testing.T) {
+	p := newUpperPlane(t, nil)
+	flipped := requestFrame(t, p.keys.Request, "plane/upper", []byte("reading"))
+	flipped[len(flipped)-5] ^= 0x10
+	forged := requestFrame(t, cryptbox.Key{0xEE}, "plane/upper", []byte("reading"))
+	for _, f := range [][]byte{flipped, forged} {
+		if _, err := p.rawIn.Publish(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.expectRejected(t, 2)
+	if st := p.rs.ReplicaHandles()[0].(*Replica).Stats(); st.Failed != 2 || st.Served != 0 {
+		t.Fatalf("replica stats = %+v", st)
+	}
+}
+
+// TestResponseCannotBeReplayedAsRequest: a sealed reply frame re-published
+// on the request topic is rejected — the reply is sealed under
+// "resp|<name>", the replica opens requests under "req|<name>".
+func TestResponseCannotBeReplayedAsRequest(t *testing.T) {
+	p := newUpperPlane(t, nil)
+	if err := p.client.Send("k", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := p.rs.Step(); err != nil || st.Replies != 1 {
+		t.Fatalf("step = %+v, err %v", st, err)
+	}
+	replies, err := p.rawOut.Receive()
+	if err != nil || len(replies) != 1 {
+		t.Fatalf("captured %d replies, err %v", len(replies), err)
+	}
+	if _, err := p.rawIn.Publish(replies[0]); err != nil {
+		t.Fatal(err)
+	}
+	p.expectRejected(t, 1)
+}
+
+// TestCrossServiceRequestRejected: a frame sealed for service A is rejected
+// by a set serving service B, even when the two share a request key — the
+// request AAD binds the service name.
+func TestCrossServiceRequestRejected(t *testing.T) {
+	p := newUpperPlane(t, nil) // service A: "plane/upper"
+	const other = "plane/other"
+	bus := eventbus.New()
+	svc := attest.NewService()
+	kb := attest.NewKeyBroker(svc)
+	var root cryptbox.Key
+	root[0] = 0x5E
+	keysB, err := NewServiceKeys(root, other, "o/req", "o/resp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keysB.Request = p.keys.Request
+	kb.Register(other, attest.Policy{AllowedMRSigner: []cryptbox.Digest{ReplicaSigner(other)}}, keysB)
+	b, err := NewReplicaSet(bus, svc, kb, other,
+		func(req []byte) ([]byte, error) { return req, nil },
+		ReplicaSetConfig{Replicas: 1, InTopic: "o/req", OutTopic: "o/resp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Stop()
+	pub, err := eventbus.OpenPublisher(eventbus.EndpointConfig{Bus: bus, Topic: "o/req", Key: keysB.Topics["o/req"]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pub.Publish(requestFrame(t, p.keys.Request, "plane/upper", []byte("x"))); err != nil {
+		t.Fatal(err)
+	}
+	st, err := b.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Polled != 1 || st.Failed != 1 || st.Served != 0 || st.Replies != 0 {
+		t.Fatalf("request for service A served by service B: step = %+v", st)
+	}
+}
+
+// TestHandlerErrorPropagates: a handler error reaches the set's counters
+// as Failed, never as Served, and no reply leaves the enclave.
+func TestHandlerErrorPropagates(t *testing.T) {
+	p := newUpperPlane(t, func(req []byte) ([]byte, error) { return nil, errors.New("boom") })
+	if err := p.client.Send("k", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	p.expectRejected(t, 1)
+	if tot := p.rs.Totals(); tot.Served != 0 || tot.Failed != 1 {
+		t.Fatalf("totals = %+v", tot)
+	}
+}
+
+// TestStoppedService: a stopped set fails closed — frames sent after Stop
+// are never polled, opened or answered.
+func TestStoppedService(t *testing.T) {
+	p := newUpperPlane(t, nil)
+	p.rs.Stop()
+	if p.rs.Replicas() != 0 {
+		t.Fatalf("%d replicas after Stop", p.rs.Replicas())
+	}
+	if err := p.client.Send("k", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	st, err := p.rs.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Polled != 0 || st.Served != 0 {
+		t.Fatalf("stopped set stepped: %+v", st)
+	}
+	if replies, err := p.client.Replies(); err != nil || len(replies) != 0 {
+		t.Fatalf("stopped set replied: %d replies, err %v", len(replies), err)
+	}
+}
+
+func TestNilHandlerRejected(t *testing.T) {
+	bus, svc, kb, _ := planeFixture(t, "plane/nil", "x/req", "x/resp")
+	if _, err := NewReplicaSet(bus, svc, kb, "plane/nil", nil,
+		ReplicaSetConfig{InTopic: "x/req", OutTopic: "x/resp"}); err == nil {
+		t.Fatal("nil handler accepted")
+	}
+}
+
+// TestInvokeChargesEnclaveEntry: serving a request enters the replica's
+// enclave, so transition cycles are charged to its platform.
+func TestInvokeChargesEnclaveEntry(t *testing.T) {
+	p := newUpperPlane(t, nil)
+	mem := p.rs.ReplicaHandles()[0].(*Replica).enc.Memory()
+	before := mem.Breakdown()[enclave.CauseTransition]
+	if err := p.client.Send("k", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.rs.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if mem.Breakdown()[enclave.CauseTransition] <= before {
+		t.Fatal("serving did not enter the enclave")
 	}
 }

@@ -4,6 +4,39 @@ import (
 	"securecloud/internal/orchestrator"
 )
 
+// DefaultScenarios returns the four gated fault-injection scenarios:
+// replica crash, load spike, hot-key skew and slow replica. Each is one
+// untagged tenant on the uniform profile plus at most one fault, so they
+// exercise the orchestrator's scaling rules without admission. Their
+// adaptation traces and cycle totals are pinned in the bench baseline and
+// checked in CI; change them only with the same deliberation as a golden
+// file.
+func DefaultScenarios() []ScenarioSpec {
+	target := orchestrator.Target{
+		MaxQueueDepth:    32,
+		MinReplicas:      1,
+		MaxReplicas:      8,
+		ScaleInBelow:     4,
+		MaxServiceCycles: 200_000,
+	}
+	spec := func(name string, load TenantLoad, faults ...FaultSpec) ScenarioSpec {
+		load.Keys, load.KeyPrefix, load.BodyBytes = 64, "k-", 192
+		return ScenarioSpec{
+			Name: name, Seed: 42, Ticks: 48,
+			Replicas: 2, TickMillis: 1, RequestCycles: 60_000,
+			Target:  target,
+			Tenants: []TenantLoad{load},
+			Faults:  faults,
+		}
+	}
+	return []ScenarioSpec{
+		spec("crash", TenantLoad{BaseLoad: 48}, FaultSpec{Kind: "crash", At: 12, Replica: 0}),
+		spec("load-spike", TenantLoad{BaseLoad: 48, SpikeAt: 16, SpikeTicks: 8, SpikeFactor: 6}),
+		spec("hot-key-skew", TenantLoad{BaseLoad: 96, SkewAt: 10, SkewPercent: 85, SkewKey: "hot"}),
+		spec("slow-replica", TenantLoad{BaseLoad: 48}, FaultSpec{Kind: "slow", At: 12, Replica: 0, Extra: 400_000}),
+	}
+}
+
 // LabScenarios is the declarative fault-scenario matrix riding on the
 // admission controller: overload, noisy-neighbor (genpack batch vs
 // smartgrid streaming tenants), cascading replica failure, slow-network
@@ -23,10 +56,10 @@ func LabScenarios() []ScenarioSpec {
 
 	// pinnedTarget caps the fleet at its initial size: the overload and
 	// recovery scenarios are about admission under a fixed capacity, not
-	// about scale-out riding to the rescue (that is the load-spike legacy
-	// scenario's job). It is also what makes the ungoverned contrast arm
-	// diverge: without admission and without spare replicas the backlog
-	// can only grow across the spike.
+	// about scale-out riding to the rescue (that is the job of the
+	// load-spike scenario in DefaultScenarios). It is also what makes the
+	// ungoverned contrast arm diverge: without admission and without spare
+	// replicas the backlog can only grow across the spike.
 	pinnedTarget := orchestrator.Target{
 		MaxQueueDepth:    32,
 		MinReplicas:      1,

@@ -21,13 +21,12 @@ import (
 	"securecloud/internal/smartgrid"
 )
 
-// This file is the declarative fault-scenario engine (ROADMAP item 3): a
-// ScenarioSpec is pure data — tenant load profiles, a fault table, the
-// admission and retry configuration, and an assertion table — and RunSpec
-// is the one generic closed loop that executes any spec. The four
-// hand-coded legacy scenarios are now 10-line Spec() conversions run
-// through this engine (bit-identical to their pre-engine traces), and a
-// new scenario is a ~20-line literal in scenariolab.go.
+// This file is the declarative fault-scenario engine: a ScenarioSpec is
+// pure data — tenant load profiles, a fault table, the admission and retry
+// configuration, and an assertion table — and RunSpec is the one closed
+// loop that executes any spec. Every scenario, from the four orchestrator
+// scenarios of DefaultScenarios to the lab and cluster matrices, is a
+// ScenarioSpec literal (scenariolab.go, scenariocluster.go).
 
 // TenantLoad is one tenant's deterministic load schedule. The zero tenant
 // name sends untagged legacy frames (exactly the pre-tenant wire format);
@@ -41,11 +40,11 @@ type TenantLoad struct {
 	Keys      int
 	KeyPrefix string
 	BodyBytes int
-	// Profile selects the generator: "" = uniform random keys (the legacy
-	// schedule), "genpack-batch" = bursty Poisson batch arrivals from a
-	// genpack trace, "smartgrid-stream" = one request per meter reading
-	// from a smartgrid fleet, keyed by feeder, with a theft detector and
-	// a forecaster consuming the same readings client-side.
+	// Profile selects the generator: "" = uniform random keys (the
+	// DefaultScenarios schedule), "genpack-batch" = bursty Poisson batch
+	// arrivals from a genpack trace, "smartgrid-stream" = one request per
+	// meter reading from a smartgrid fleet, keyed by feeder, with a theft
+	// detector and a forecaster consuming the same readings client-side.
 	Profile string
 
 	// Load spike: BaseLoad × SpikeFactor during [SpikeAt, SpikeAt+SpikeTicks).
@@ -183,6 +182,66 @@ func (spec ScenarioSpec) WithoutAdmission() ScenarioSpec {
 	return spec
 }
 
+// ScenarioResult is the deterministic outcome of one scenario run. Every
+// field except Workers is invariant to the Workers setting; the benchmark
+// harness asserts exactly that before gating the values.
+type ScenarioResult struct {
+	Name    string
+	Workers int
+	Ticks   int
+	// Trace is the per-tick adaptation record: replica count, backlog and
+	// orchestrator actions, plus injection markers. TraceHash is the
+	// SHA-256 of the joined trace — the single value CI gates.
+	Trace     []string
+	TraceHash string
+
+	Sent    int
+	Served  uint64
+	Failed  uint64
+	Replies int
+	Backlog int
+
+	Launched           int
+	FinalReplicas      int
+	RequestsPerReplica float64
+
+	SerialCycles   sim.Cycles
+	CriticalCycles sim.Cycles
+	SimSpeedup     float64
+	Faults         uint64
+	FrontCycles    sim.Cycles
+
+	InjectTick        int
+	FirstReactionTick int
+	// AdaptLatencySimMS is the simulated time from the injection tick to
+	// the end of the tick whose Observe reacted: one tick of latency means
+	// the same monitoring period that saw the fault also repaired it.
+	AdaptLatencySimMS float64
+
+	// Admission figures (zero without an AdmissionConfig): shed and
+	// hot-key-split totals, admission queue-wait percentiles in sim-ms,
+	// and the client's retry counters.
+	Shed             uint64
+	Splits           uint64
+	P50WaitSimMS     float64
+	P95WaitSimMS     float64
+	MaxWaitSimMS     float64
+	RetriesSent      uint64
+	RetriesAbandoned uint64
+
+	// Metrics is the flat deterministic metric table the spec's assertion
+	// table binds against and the bench harness gates (includes per-tenant
+	// sent/shed/dispatched/served_share entries).
+	Metrics map[string]float64
+	// AssertionsPassed / AssertionFailures report the spec's assertion
+	// table verdict (vacuously true for a spec without assertions).
+	AssertionsPassed  bool
+	AssertionFailures []string
+}
+
+// scenarioService is the service name scenarios run under.
+const scenarioService = "plane/scenario"
+
 // tenantGen drives one tenant's load schedule: the per-tenant RNG plus
 // whatever profile state (a genpack arrival trace, a smartgrid fleet and
 // its client-side analytics) the profile needs.
@@ -281,7 +340,7 @@ func (g *tenantGen) requests(t int) []PlaneRequest {
 			reqs[i] = PlaneRequest{Key: r.Feeder, Body: body}
 		}
 		return reqs
-	default: // uniform — the legacy schedule, RNG-stream identical
+	default: // uniform random keys, with optional spike and skew
 		n := tl.BaseLoad
 		if tl.SpikeAt > 0 && t >= tl.SpikeAt && t < tl.SpikeAt+tl.SpikeTicks {
 			n *= tl.SpikeFactor
@@ -392,8 +451,8 @@ func RunSpec(spec ScenarioSpec) (ScenarioResult, error) {
 
 	gens := make([]*tenantGen, len(spec.Tenants))
 	for i, tl := range spec.Tenants {
-		// Tenant 0 inherits the spec seed unchanged, so a single-tenant
-		// spec replays the exact RNG stream of the pre-engine scenarios.
+		// Tenant 0 inherits the spec seed unchanged; every later tenant
+		// gets its own seed, so tenants never share an RNG stream.
 		g, err := newTenantGen(tl, spec.Seed+int64(i)*7919, spec.Ticks)
 		if err != nil {
 			return ScenarioResult{}, err

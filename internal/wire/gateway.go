@@ -55,11 +55,11 @@ func NewPlaneGateway(bus *eventbus.Bus, name string, keys attest.ServiceKeys, in
 	if !ok {
 		return nil, fmt.Errorf("wire: gateway has no stream key for %s", outTopic)
 	}
-	pub, err := eventbus.NewPublisher(bus, inTopic, inKey)
+	pub, err := eventbus.OpenPublisher(eventbus.EndpointConfig{Bus: bus, Topic: inTopic, Key: inKey})
 	if err != nil {
 		return nil, err
 	}
-	sub, err := eventbus.NewSubscriber(bus, outTopic, outKey)
+	sub, err := eventbus.OpenSubscriber(eventbus.EndpointConfig{Bus: bus, Topic: outTopic, Key: outKey})
 	if err != nil {
 		return nil, err
 	}

@@ -116,7 +116,7 @@ func TestHTTPRepliesByteIdenticalToInProcess(t *testing.T) {
 		microsvc.ReplicaSetConfig{Replicas: 1, InTopic: "echo/req", OutTopic: "echo/resp"}, Config{})
 
 	outKey, _ := fx.keys.Topic("echo/resp")
-	inproc, err := eventbus.NewSubscriber(fx.bus, "echo/resp", outKey)
+	inproc, err := eventbus.OpenSubscriber(eventbus.EndpointConfig{Bus: fx.bus, Topic: "echo/resp", Key: outKey})
 	if err != nil {
 		t.Fatal(err)
 	}
