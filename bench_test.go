@@ -3,7 +3,9 @@
 // corresponding figure/claim is about. Wall-clock ns/op measures the
 // simulator itself — with the batched accounting fast path (see the "cost
 // model & performance" section in doc.go) it is tracked per PR by
-// scripts/bench_smoke.sh as the simulator-speed trajectory.
+// scripts/bench_smoke.sh as the simulator-speed trajectory, which also
+// records the raw CacheMissVsSwap result lines for cmd/bench-check to gate
+// their simulated units.
 //
 // Full-fidelity sweeps (all nine x-axis points of Figure 3, full ops) run
 // via the cmd/ tools; the benchmarks use reduced but shape-preserving

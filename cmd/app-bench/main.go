@@ -10,14 +10,14 @@
 // recovery) exercises tenant-aware admission control — token buckets,
 // weighted-fair dequeue, shed-with-retry-after, hot-key splitting and
 // client retry — and each lab spec carries its own assertion table, whose
-// verdict is recorded in the JSON and gated by cmd/bench-check.
+// verdict is recorded in the JSON; a failed table fails the command.
 //
 // Each scenario runs once per worker count (default 1,2,4,8). Worker count
 // is execution-only, so the adaptation trace, the per-replica cycle totals
 // and every deterministic metric must be bit-identical across the sweep —
-// the command verifies this itself and reports trace_equal_across_workers;
-// scripts/bench_check.sh fails CI if it is false or if any deterministic
-// metric drifts from the committed baseline.
+// the command verifies this itself, reports trace_equal_across_workers and
+// exits nonzero if it is false; cmd/bench-check fails CI if any
+// deterministic metric drifts from the committed baseline.
 //
 // The overload lab spec additionally runs a WithoutAdmission contrast arm:
 // the same spike with the controller stripped. Admission on must bound the
@@ -95,8 +95,8 @@ type labOut struct {
 }
 
 // contrastOut is the overload A/B: identical spike, admission on vs
-// stripped (WithoutAdmission). ContrastOK is the robustness statement
-// bench-check gates: with admission the backlog stays bounded, without it
+// stripped (WithoutAdmission). ContrastOK is the robustness statement the
+// command enforces: with admission the backlog stays bounded, without it
 // the backlog diverges.
 type contrastOut struct {
 	Scenario                string  `json:"scenario"`
@@ -216,7 +216,8 @@ func main() {
 
 	// Declarative lab matrix: every metric in the result table must be
 	// bit-identical across the worker sweep, and every spec's assertion
-	// table must pass. Both verdicts land in the JSON for bench-check.
+	// table must pass. Both verdicts land in the JSON; either failing
+	// fails the command.
 	allAsserted := true
 	var overloadRef microsvc.ScenarioResult
 	for _, spec := range append(microsvc.LabScenarios(), microsvc.ClusterLabScenarios()...) {

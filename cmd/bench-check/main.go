@@ -1,19 +1,27 @@
-// Command bench-check is the bench-regression gate: it extracts every
-// deterministic simulated metric from the newest committed BENCH_N.json
-// and fails when any value drifts from the committed baseline
-// (scripts/bench_baseline.json).
+// Command bench-check is the bench-regression gate: it flattens every
+// deterministic simulated metric of a bench document written by
+// scripts/bench_smoke.sh and fails when any value drifts from the committed
+// baseline (scripts/bench_baseline.json).
 //
-// Deterministic metrics — sim-cycles, fault counts, figure values — are
-// pure functions of the workload and the cost model, so any drift is a
-// semantic change to the simulator or its data structures, never noise.
-// Wall-clock fields are ignored: they measure the host. The check also
-// verifies internal consistency inside the bench file itself (parallel
-// sweeps bit-identical to sequential ones, per-cpu broker runs agreeing),
-// which catches nondeterminism even before a baseline exists.
+// The document follows one contract:
+//
+//   - every top-level section carrying a flat "deterministic"
+//     {name: number} map contributes <section minus "_bench">.<name>;
+//     everything else in a section is informational;
+//   - the raw `go test -bench` result lines under "go_bench" contribute
+//     every custom unit of the benchmarks named in benchAlias, and each
+//     such metric must agree across -cpu runs.
+//
+// Each bench driver enforces its own invariants (worker-sweep equality,
+// assertion tables, warm-pull and delta statements) and exits nonzero when
+// one fails, so bench-check only compares numbers. Deterministic metrics —
+// sim-cycles, fault counts, figure values — are pure functions of the
+// workload and the cost model, so any drift is a semantic change to the
+// simulator or its data structures, never noise.
 //
 // Usage:
 //
-//	bench-check [-bench BENCH_N.json] [-baseline scripts/bench_baseline.json] [-update]
+//	bench-check -bench BENCH.json [-baseline scripts/bench_baseline.json] [-update]
 //
 // -update rewrites the baseline from the bench file; do this deliberately
 // in the PR that intentionally changes the cost model or workload, the
@@ -30,11 +38,26 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // tolerance absorbs JSON float round-tripping, nothing more: deterministic
 // metrics must match to better than one part per billion.
 const tolerance = 1e-9
+
+// benchAlias maps each gated Go benchmark to its metric prefix.
+var benchAlias = map[string]string{
+	"CacheMissVsSwap":       "cachemiss",
+	"BrokerPublishParallel": "broker",
+}
+
+// wallUnits are the `go test -bench` units that measure the host.
+var wallUnits = map[string]bool{"ns/op": true, "B/op": true, "allocs/op": true, "MB/s": true}
+
+// cpuSuffix is the -N GOMAXPROCS suffix `go test` appends to a name.
+var cpuSuffix = regexp.MustCompile(`-\d+$`)
+
+var unitName = strings.NewReplacer("-", "_", "/", "_per_")
 
 type baseline struct {
 	Source  string             `json:"source"`
@@ -46,349 +69,105 @@ func fail(format string, args ...any) {
 	os.Exit(1)
 }
 
-// latestBench returns the BENCH_N.json with the highest N in dir.
-func latestBench(dir string) (string, error) {
-	entries, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil {
-		return "", err
-	}
-	re := regexp.MustCompile(`BENCH_(\d+)\.json$`)
-	best, bestN := "", -1
-	for _, e := range entries {
-		m := re.FindStringSubmatch(e)
-		if m == nil {
-			continue
-		}
-		n, _ := strconv.Atoi(m[1])
-		if n > bestN {
-			best, bestN = e, n
-		}
-	}
-	if best == "" {
-		return "", fmt.Errorf("no BENCH_N.json found in %s", dir)
-	}
-	return best, nil
-}
-
-func num(v any) (float64, bool) {
-	f, ok := v.(float64)
-	return f, ok
-}
-
-// extract pulls every deterministic metric out of one bench file into a
-// flat name → value map, and runs the file's internal consistency checks.
+// extract flattens every deterministic metric of one bench document into a
+// name → value map, and reports go_bench lines that cannot be gated or
+// that disagree across -cpu runs.
 func extract(doc map[string]any) (map[string]float64, []string) {
 	metrics := make(map[string]float64)
 	var problems []string
 
-	// Broker throughput: the simulated metrics must agree across every
-	// -cpu entry (that is the determinism statement), then gate once.
-	if arr, ok := doc["broker_publish_parallel"].([]any); ok && len(arr) > 0 {
-		fields := []string{"sim_cycles_per_match", "sim_critical_cycles_per_match", "faults_per_match", "sim_speedup"}
-		for _, f := range fields {
-			var first float64
-			for i, e := range arr {
-				obj, ok := e.(map[string]any)
-				if !ok {
-					continue
-				}
-				v, ok := num(obj[f])
-				if !ok {
-					problems = append(problems, fmt.Sprintf("broker entry %d missing %s", i, f))
-					continue
-				}
-				if i == 0 {
-					first = v
-					metrics["broker."+f] = v
-				} else if v != first {
-					problems = append(problems, fmt.Sprintf(
-						"broker %s differs across -cpu entries: %v vs %v (nondeterministic)", f, first, v))
-				}
-			}
-		}
-	}
-
-	if arr, ok := doc["cache_miss_vs_swap"].([]any); ok {
-		for _, e := range arr {
-			obj, ok := e.(map[string]any)
-			if !ok {
-				continue
-			}
-			name, _ := obj["case"].(string)
-			for _, f := range []string{"sim_cycles_per_match", "faults_per_match"} {
-				if v, ok := num(obj[f]); ok {
-					metrics["cachemiss."+name+"."+f] = v
-				}
-			}
-		}
-	}
-
-	figPoints := func(key string) map[float64]map[string]float64 {
-		out := make(map[float64]map[string]float64)
-		sweep, ok := doc[key].(map[string]any)
+	for key, sec := range doc {
+		obj, _ := sec.(map[string]any)
+		det, ok := obj["deterministic"].(map[string]any)
 		if !ok {
-			return nil
+			continue
 		}
-		points, ok := sweep["points"].([]any)
+		prefix := strings.TrimSuffix(key, "_bench") + "."
+		for name, v := range det {
+			if f, ok := v.(float64); ok {
+				metrics[prefix+name] = f
+			}
+		}
+	}
+
+	lines, _ := doc["go_bench"].([]any)
+	for _, l := range lines {
+		line, _ := l.(string)
+		fields := strings.Fields(line)
+		if len(fields) < 2 || !strings.HasPrefix(fields[0], "Benchmark") {
+			problems = append(problems, fmt.Sprintf("go_bench: malformed line %q", line))
+			continue
+		}
+		name := cpuSuffix.ReplaceAllString(strings.TrimPrefix(fields[0], "Benchmark"), "")
+		top, sub, _ := strings.Cut(name, "/")
+		prefix, ok := benchAlias[top]
 		if !ok {
-			return nil
+			problems = append(problems, fmt.Sprintf("go_bench: Benchmark%s has no metric prefix", top))
+			continue
 		}
-		for _, p := range points {
-			obj, ok := p.(map[string]any)
-			if !ok {
+		if sub != "" {
+			prefix += "." + sub
+		}
+		for i := 2; i+1 < len(fields); i += 2 {
+			unit := fields[i+1]
+			if wallUnits[unit] {
 				continue
 			}
-			mb, ok := num(obj["OccupancyMB"])
-			if !ok {
+			v, err := strconv.ParseFloat(fields[i], 64)
+			if err != nil {
+				problems = append(problems, fmt.Sprintf("go_bench: %s: bad value %q", fields[0], fields[i]))
 				continue
 			}
-			vals := make(map[string]float64)
-			for _, f := range []string{"TimeRatio", "FaultRatio", "InsideCyclesPerOp", "OutsideCyclesPerOp", "InsideFaults", "OutsideFaults"} {
-				if v, ok := num(obj[f]); ok {
-					vals[f] = v
-				}
+			metric := prefix + "." + unitName.Replace(unit)
+			if prev, seen := metrics[metric]; seen && prev != v {
+				problems = append(problems, fmt.Sprintf(
+					"go_bench: %s differs across -cpu runs: %v vs %v (nondeterministic)", metric, prev, v))
+				continue
 			}
-			out[mb] = vals
-		}
-		return out
-	}
-	seq := figPoints("figure3_reduced_sweep")
-	for mb, vals := range seq {
-		for f, v := range vals {
-			metrics[fmt.Sprintf("figure3.%gmb.%s", mb, f)] = v
+			metrics[metric] = v
 		}
 	}
-	if par := figPoints("figure3_reduced_sweep_parallel"); par != nil && seq != nil {
-		for mb, vals := range seq {
-			for f, v := range vals {
-				pv, ok := par[mb][f]
-				if !ok {
-					problems = append(problems, fmt.Sprintf("parallel sweep missing %gMB %s", mb, f))
-					continue
-				}
-				if pv != v {
-					problems = append(problems, fmt.Sprintf(
-						"figure3 %gMB %s: parallel %v != sequential %v (nondeterministic)", mb, f, pv, v))
-				}
-			}
-		}
-	}
-
-	if app, ok := doc["app_bench"].(map[string]any); ok {
-		if det, ok := app["deterministic"].(map[string]any); ok {
-			for name, v := range det {
-				if f, ok := num(v); ok {
-					metrics["app."+name] = f
-				}
-			}
-		}
-		// The driver's own cross-worker-count determinism verdict: every
-		// scenario's adaptation trace and cycle totals must have been
-		// bit-identical across the worker sweep.
-		if scenarios, ok := app["scenarios"].([]any); ok {
-			for _, s := range scenarios {
-				obj, ok := s.(map[string]any)
-				if !ok {
-					continue
-				}
-				name, _ := obj["name"].(string)
-				if eq, ok := obj["trace_equal_across_workers"].(bool); ok && !eq {
-					problems = append(problems, fmt.Sprintf(
-						"app_bench: scenario %s adaptation trace differed across worker counts (nondeterministic)", name))
-				}
-			}
-		}
-		// Lab scenarios carry their own assertion tables (admission, shed,
-		// retry and per-tenant bounds); a failed table is a robustness
-		// regression, gated exactly like metric drift.
-		if labs, ok := app["lab_scenarios"].([]any); ok {
-			for _, s := range labs {
-				obj, ok := s.(map[string]any)
-				if !ok {
-					continue
-				}
-				name, _ := obj["name"].(string)
-				if eq, ok := obj["trace_equal_across_workers"].(bool); ok && !eq {
-					problems = append(problems, fmt.Sprintf(
-						"app_bench: lab scenario %s differed across worker counts (nondeterministic)", name))
-				}
-				if passed, ok := obj["assertions_passed"].(bool); ok && !passed {
-					detail := ""
-					if fails, ok := obj["assertion_failures"].([]any); ok {
-						for _, f := range fails {
-							if msg, ok := f.(string); ok {
-								detail += "; " + msg
-							}
-						}
-					}
-					problems = append(problems, fmt.Sprintf(
-						"app_bench: lab scenario %s assertion table failed%s", name, detail))
-				}
-			}
-		}
-		// Durability invariants, gated explicitly on top of the assertion
-		// tables: crash-with-state-loss recovery must land bit-identical to
-		// the never-crashed twin, and a revoked service must serve nothing
-		// while revoked (fail closed). These are correctness statements, not
-		// just figures, so they get their own failure messages.
-		if det, ok := app["deterministic"].(map[string]any); ok {
-			if v, ok := num(det["lab_crash-state_recovered_state_equal"]); ok && v != 1 {
-				problems = append(problems,
-					"app_bench: crash-state recovery diverged from the never-crashed twin (recovered_state_equal != 1)")
-			}
-			if v, ok := num(det["lab_key-revocation_served_phase_inject"]); ok && v != 0 {
-				problems = append(problems, fmt.Sprintf(
-					"app_bench: revoked service served %v requests during the revocation window, want 0 (fail-open)", v))
-			}
-			// Cluster invariants: a partitioned replica must never serve a
-			// routed request (fail-open through the partition), and a
-			// byzantine registry must never land a tampered chunk in any
-			// node's blob cache (cache poisoning).
-			if v, ok := num(det["lab_node-partition_served_via_unreachable"]); ok && v != 0 {
-				problems = append(problems, fmt.Sprintf(
-					"app_bench: %v requests served via an unreachable replica during the partition, want 0 (fail-open)", v))
-			}
-			if v, ok := num(det["lab_byzantine-registry_tampered_cached"]); ok && v != 0 {
-				problems = append(problems, fmt.Sprintf(
-					"app_bench: %v tampered chunks found cached on cluster nodes, want 0 (cache poisoning)", v))
-			}
-		}
-		// The overload A/B: admission on bounds the backlog, admission off
-		// diverges. If the contrast collapses, the controller stopped doing
-		// its job (or the spike stopped overloading) — fail either way.
-		if c, ok := app["admission_contrast"].(map[string]any); ok {
-			if okFlag, ok := c["contrast_ok"].(bool); ok && !okFlag {
-				problems = append(problems, fmt.Sprintf(
-					"app_bench: admission contrast broken (admission backlog %v vs no-admission %v)",
-					c["admission_backlog_final"], c["noadmission_backlog_final"]))
-			}
-		}
-	}
-
-	if pb, ok := doc["pull_bench"].(map[string]any); ok {
-		if det, ok := pb["deterministic"].(map[string]any); ok {
-			for name, v := range det {
-				if f, ok := num(v); ok {
-					metrics["pull."+name] = f
-				}
-			}
-		}
-		// The driver's own cross-worker-count determinism verdict, plus the
-		// node-cache statement: a warm second-replica pull fetches nothing.
-		if eq, ok := pb["workers_equal"].(bool); ok && !eq {
-			problems = append(problems,
-				"pull_bench: pull metrics differed across worker counts (nondeterministic)")
-		}
-		if det, ok := pb["deterministic"].(map[string]any); ok {
-			if warm, ok := num(det["warm_chunks_fetched"]); ok && warm != 0 {
-				problems = append(problems, fmt.Sprintf(
-					"pull_bench: warm pull fetched %v chunks, want 0 (blob cache broken)", warm))
-			}
-		}
-	}
-
-	if kv, ok := doc["kv_bench"].(map[string]any); ok {
-		if det, ok := kv["deterministic"].(map[string]any); ok {
-			for name, v := range det {
-				if f, ok := num(v); ok {
-					metrics["kv."+name] = f
-				}
-			}
-		}
-		// The driver's own cross-check against the sequential store.
-		if kvSec, ok := kv["kv"].(map[string]any); ok {
-			if match, ok := kvSec["results_match_plain"].(bool); ok && !match {
-				problems = append(problems, "kv_bench: sharded store results diverged from sequential store")
-			}
-		}
-	}
-
-	if db, ok := doc["durability_bench"].(map[string]any); ok {
-		if det, ok := db["deterministic"].(map[string]any); ok {
-			for name, v := range det {
-				if f, ok := num(v); ok {
-					metrics["durability."+name] = f
-				}
-			}
-		}
-		// The driver's own cross-worker-count determinism verdict, plus the
-		// delta-durability statements: a warm delta recovery must fetch
-		// strictly fewer chunks than its own cold recovery, the incremental
-		// snapshot must publish strictly fewer chunks (and charge strictly
-		// fewer cycles) than the full baseline of identical state, and the
-		// recovered store must land bit-identical to the never-crashed twin.
-		if eq, ok := db["workers_equal"].(bool); ok && !eq {
-			problems = append(problems,
-				"durability_bench: metrics differed across worker counts (nondeterministic)")
-		}
-		if det, ok := db["deterministic"].(map[string]any); ok {
-			delta, okD := num(det["delta_chunks_fetched"])
-			cold, okC := num(det["cold_chunks_fetched"])
-			if okD && okC && delta >= cold {
-				problems = append(problems, fmt.Sprintf(
-					"durability_bench: warm delta recovery fetched %v chunks, cold fetched %v (delta chain not saving traffic)", delta, cold))
-			}
-			dc, okDC := num(det["delta_snapshot_chunks"])
-			fc, okFC := num(det["full_snapshot_chunks"])
-			if okDC && okFC && dc >= fc {
-				problems = append(problems, fmt.Sprintf(
-					"durability_bench: delta snapshot published %v chunks, full published %v (incremental publish not saving chunks)", dc, fc))
-			}
-			dcy, okDY := num(det["delta_snapshot_cycles"])
-			fcy, okFY := num(det["full_snapshot_cycles"])
-			if okDY && okFY && dcy >= fcy {
-				problems = append(problems, fmt.Sprintf(
-					"durability_bench: delta snapshot charged %v cycles, full charged %v (incremental publish not saving work)", dcy, fcy))
-			}
-			if v, ok := num(det["recovered_state_equal"]); ok && v != 1 {
-				problems = append(problems,
-					"durability_bench: recovered state diverged from the never-crashed twin (recovered_state_equal != 1)")
-			}
-		}
-	}
-
-	if wb, ok := doc["wire_bench"].(map[string]any); ok {
-		if det, ok := wb["deterministic"].(map[string]any); ok {
-			for name, v := range det {
-				if f, ok := num(v); ok {
-					metrics["wire."+name] = f
-				}
-			}
-		}
-		// The driver's own back-to-back determinism verdict: the same
-		// seeded workload replayed over a freshly built HTTP stack must
-		// reproduce every deterministic counter bit-for-bit.
-		if eq, ok := wb["runs_equal"].(bool); ok && !eq {
-			problems = append(problems,
-				"wire_bench: deterministic counters differed across back-to-back runs (nondeterministic)")
-		}
-		if det, ok := wb["deterministic"].(map[string]any); ok {
-			if lost, ok := num(det["plane_lost"]); ok && lost != 0 {
-				problems = append(problems, fmt.Sprintf(
-					"wire_bench: %v requests never answered within the run, want 0 (reply loss over HTTP)", lost))
-			}
-			if rej, ok := num(det["gw_rejected"]); ok && rej != 0 {
-				problems = append(problems, fmt.Sprintf(
-					"wire_bench: gateway rejected %v well-formed frames, want 0", rej))
-			}
-		}
-	}
-
 	return metrics, problems
 }
 
+// compare returns one message per metric that is new, missing from the
+// bench file, or drifted beyond tolerance, in name order.
+func compare(metrics, base map[string]float64, benchPath string) []string {
+	names := make([]string, 0, len(metrics)+len(base))
+	for n := range metrics {
+		names = append(names, n)
+	}
+	for n := range base {
+		if _, ok := metrics[n]; !ok {
+			names = append(names, n)
+		}
+	}
+	sort.Strings(names)
+
+	var drift []string
+	for _, n := range names {
+		got, haveGot := metrics[n]
+		want, haveWant := base[n]
+		switch {
+		case !haveWant:
+			drift = append(drift, fmt.Sprintf("new metric %s = %v not in baseline (refresh with -update)", n, got))
+		case !haveGot:
+			drift = append(drift, fmt.Sprintf("baseline metric %s missing from %s (benchmark dropped?)", n, benchPath))
+		case math.Abs(got-want) > tolerance*math.Max(1, math.Abs(want)):
+			drift = append(drift, fmt.Sprintf("DRIFT %s: %v, baseline %v", n, got, want))
+		}
+	}
+	return drift
+}
+
 func main() {
-	benchPath := flag.String("bench", "", "bench file to check (default: highest BENCH_N.json in the repo root)")
+	benchPath := flag.String("bench", "", "bench file to check (required; written by scripts/bench_smoke.sh)")
 	basePath := flag.String("baseline", "scripts/bench_baseline.json", "committed baseline")
 	update := flag.Bool("update", false, "rewrite the baseline from the bench file instead of checking")
 	flag.Parse()
 
 	if *benchPath == "" {
-		p, err := latestBench(".")
-		if err != nil {
-			fail("%v", err)
-		}
-		*benchPath = p
+		fail("-bench is required")
 	}
 	raw, err := os.ReadFile(*benchPath)
 	if err != nil {
@@ -429,38 +208,12 @@ func main() {
 	if err := json.Unmarshal(baseRaw, &base); err != nil {
 		fail("parsing %s: %v", *basePath, err)
 	}
-
-	names := make(map[string]struct{}, len(metrics)+len(base.Metrics))
-	for n := range metrics {
-		names[n] = struct{}{}
+	drift := compare(metrics, base.Metrics, *benchPath)
+	for _, d := range drift {
+		fmt.Fprintf(os.Stderr, "bench-check: %s\n", d)
 	}
-	for n := range base.Metrics {
-		names[n] = struct{}{}
-	}
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-
-	drifted := 0
-	for _, n := range sorted {
-		got, haveGot := metrics[n]
-		want, haveWant := base.Metrics[n]
-		switch {
-		case !haveWant:
-			fmt.Fprintf(os.Stderr, "bench-check: new metric %s = %v not in baseline (refresh with -update)\n", n, got)
-			drifted++
-		case !haveGot:
-			fmt.Fprintf(os.Stderr, "bench-check: baseline metric %s missing from %s (benchmark dropped?)\n", n, *benchPath)
-			drifted++
-		case math.Abs(got-want) > tolerance*math.Max(1, math.Abs(want)):
-			fmt.Fprintf(os.Stderr, "bench-check: DRIFT %s: %v, baseline %v\n", n, got, want)
-			drifted++
-		}
-	}
-	if drifted > 0 {
-		fail("%d deterministic metric(s) drifted vs %s — a semantic simulator change; update the baseline only if intended", drifted, *basePath)
+	if len(drift) > 0 {
+		fail("%d deterministic metric(s) drifted vs %s — a semantic simulator change; update the baseline only if intended", len(drift), *basePath)
 	}
 	fmt.Printf("bench-check: %s: %d deterministic metrics match %s\n", *benchPath, len(metrics), *basePath)
 }

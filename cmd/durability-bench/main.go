@@ -17,7 +17,7 @@
 // pack and replay cycles, GC retirements) must be bit-identical across the
 // sweep — the driver exits nonzero otherwise, as it does if the delta ever
 // fails to beat the full baseline. The -json output's "deterministic"
-// object is consumed by scripts/bench_check.sh to gate regressions in CI.
+// object is gated by cmd/bench-check in CI.
 //
 // Usage:
 //

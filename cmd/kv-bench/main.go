@@ -17,8 +17,9 @@
 //
 // Every simulated metric is deterministic: shard and worker-enclave counts
 // are topology parameters (pinned per run), execution parallelism never
-// changes totals. The -json output's "deterministic" object is consumed by
-// scripts/bench_check.sh to gate regressions in CI.
+// changes totals. The command exits nonzero when the sharded store's
+// results diverge from the sequential store; the -json output's
+// "deterministic" object is gated by cmd/bench-check in CI.
 //
 // Usage:
 //
@@ -217,6 +218,9 @@ func main() {
 		if string(got[i]) != string(want[i]) {
 			out.KV.ResultsMatch = false
 		}
+	}
+	if !out.KV.ResultsMatch {
+		fail(fmt.Errorf("sharded store results diverged from the sequential store"))
 	}
 
 	out.Deterministic["kv_put_sim_cycles_serial"] = float64(out.KV.Put.SerialCycles)

@@ -18,7 +18,7 @@
 // per-layer verification cycles, faults) must be bit-identical across the
 // sweep, and the warm pull must fetch exactly zero chunks — the driver
 // exits nonzero otherwise. The -json output's "deterministic" object is
-// consumed by scripts/bench_check.sh to gate regressions in CI.
+// gated by cmd/bench-check in CI.
 //
 // Usage:
 //

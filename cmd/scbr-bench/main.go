@@ -72,6 +72,21 @@ func main() {
 	}
 	elapsed := time.Since(start)
 	if *jsonOut {
+		// The simulated figures of every point, flattened for cmd/bench-check;
+		// the wall clock stays outside this map.
+		det := make(map[string]float64, 6*len(results))
+		for _, p := range results {
+			for field, v := range map[string]float64{
+				"TimeRatio":          p.TimeRatio,
+				"FaultRatio":         p.FaultRatio,
+				"InsideCyclesPerOp":  p.InsideCyclesPerOp,
+				"OutsideCyclesPerOp": p.OutsideCyclesPerOp,
+				"InsideFaults":       float64(p.InsideFaults),
+				"OutsideFaults":      float64(p.OutsideFaults),
+			} {
+				det[fmt.Sprintf("%gmb.%s", p.OccupancyMB, field)] = v
+			}
+		}
 		out := struct {
 			WallClockSeconds float64             `json:"wall_clock_seconds"`
 			MeasureOps       int                 `json:"measure_ops"`
@@ -79,7 +94,8 @@ func main() {
 			Seed             int64               `json:"seed"`
 			Parallel         int                 `json:"parallel"`
 			Points           []scbr.Figure3Point `json:"points"`
-		}{elapsed.Seconds(), cfg.MeasureOps, cfg.PayloadBytes, cfg.Seed, cfg.Parallel, results}
+			Deterministic    map[string]float64  `json:"deterministic"`
+		}{elapsed.Seconds(), cfg.MeasureOps, cfg.PayloadBytes, cfg.Seed, cfg.Parallel, results, det}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {

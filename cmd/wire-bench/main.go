@@ -7,10 +7,13 @@
 // counter must match bit-for-bit (runs_equal), because the counters are
 // pure functions of the seed — HTTP moves the bytes but decides nothing.
 //
-// The JSON splits cleanly: "deterministic" (sent/served/shed, bytes,
-// payload-size histogram buckets, sim-cycle totals, SCBR delivery counts)
-// is gated by cmd/bench-check against the committed baseline; "wallclock"
-// (latency quantiles, throughput) measures the host and is informational.
+// The command exits nonzero when the runs differ, when a request is never
+// answered (plane_lost) or when the gateway rejects a well-formed frame
+// (gw_rejected). The JSON splits cleanly: "deterministic" (sent/served/shed,
+// bytes, payload-size histogram buckets, sim-cycle totals, SCBR delivery
+// counts) is gated by cmd/bench-check against the committed baseline;
+// "wallclock" (latency quantiles, throughput) measures the host and is
+// informational.
 //
 // With -pprof the serving process exposes /debug/pprof on the same
 // listener for profiling a longer -ticks run.
@@ -448,6 +451,15 @@ func main() {
 			}
 		}
 	}
+	ok := runsEqual
+	if lost := det1["plane_lost"]; lost != 0 {
+		fmt.Fprintf(os.Stderr, "wire-bench: %v requests never answered within the run, want 0 (reply loss over HTTP)\n", lost)
+		ok = false
+	}
+	if rej := det1["gw_rejected"]; rej != 0 {
+		fmt.Fprintf(os.Stderr, "wire-bench: gateway rejected %v well-formed frames, want 0\n", rej)
+		ok = false
+	}
 
 	out := struct {
 		Ticks         int                `json:"ticks"`
@@ -464,7 +476,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "wire-bench:", err)
 			os.Exit(1)
 		}
-		if !runsEqual {
+		if !ok {
 			os.Exit(1)
 		}
 		return
@@ -480,7 +492,7 @@ func main() {
 	}
 	fmt.Printf("  wallclock: p50=%.0fus p95=%.0fus p99=%.0fus max=%.0fus rps=%.0f\n",
 		wall["p50_us"], wall["p95_us"], wall["p99_us"], wall["max_us"], wall["rps"])
-	if !runsEqual {
+	if !ok {
 		os.Exit(1)
 	}
 }

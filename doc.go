@@ -65,8 +65,9 @@
 //
 // A practical consequence: wall-clock ns/op in the benchmarks is now a
 // meaningful signal of simulator speed itself (the modeled costs are the
-// sim-cycle metrics). scripts/bench_smoke.sh records both in BENCH_*.json
-// to track the simulator-performance trajectory across PRs.
+// sim-cycle metrics). scripts/bench_smoke.sh records both in one JSON
+// document (committed as BENCH_N.json) to track the simulator-performance
+// trajectory across PRs.
 //
 // # Concurrency & CI gates
 //
@@ -192,8 +193,9 @@
 // them — seed, load schedule, injections, budgets — so their adaptation
 // traces are deterministic artifacts: cmd/app-bench re-runs each scenario
 // at worker counts 1,2,4,8, asserts bit-identical traces and totals, and
-// BENCH_N.json gates the per-scenario cycle totals, adaptation latencies
-// (in sim-ms) and trace lengths against scripts/bench_baseline.json.
+// cmd/bench-check gates the per-scenario cycle totals, adaptation
+// latencies (in sim-ms) and trace lengths against
+// scripts/bench_baseline.json.
 //
 // # Admission & overload
 //
@@ -246,8 +248,8 @@
 // overload spike once more with the controller stripped
 // (ScenarioSpec.WithoutAdmission): admission on must bound the final
 // backlog, admission off must let it diverge past 8× that bound.
-// cmd/bench-check fails CI on a failed assertion table, a broken
-// contrast, or drift in any lab metric.
+// cmd/app-bench exits nonzero on a failed assertion table or a broken
+// contrast, and cmd/bench-check fails CI on drift in any lab metric.
 //
 // Because the simulated metrics are deterministic, they are CI-gated.
 // scripts/ci.sh — run locally or by .github/workflows/ci.yml — enforces,
@@ -257,13 +259,20 @@
 // transfer, registry, container, and the protected-file layer under the
 // durable WAL: fsshield, shield, sconert):
 //
-//   - The bench-regression gate (scripts/bench_check.sh): every
-//     deterministic metric in the newest BENCH_N.json — sim-cycles/match,
-//     faults/match, Figure 3 point values, kv-bench and map/reduce cycle
-//     totals — must match scripts/bench_baseline.json exactly. Wall-clock
-//     fields are never gated (they measure the host). Deterministic means
-//     deterministic: a drift is a semantic change to the simulator or its
-//     data structures, so the gate fails the build rather than averaging.
+//   - The bench gate: scripts/bench_smoke.sh reruns every bench driver,
+//     the reduced Figure 3 sweep and the CacheMissVsSwap and
+//     BrokerPublishParallel benchmarks from the code under test. Each
+//     driver enforces its own invariants (worker-sweep equality,
+//     assertion tables, zero-fetch warm pulls, delta beats full, no lost
+//     or rejected wire requests) and exits nonzero when one fails. Every
+//     section carries a flat "deterministic" map, and cmd/bench-check
+//     requires each of those metrics — and each custom unit of the Go
+//     benchmarks, equal across -cpu runs — to match
+//     scripts/bench_baseline.json exactly. Wall-clock fields are never
+//     gated (they measure the host). Deterministic means deterministic: a
+//     drift is a semantic change to the simulator or its data structures,
+//     so the gate fails the build rather than averaging. Committed
+//     BENCH_N.json files are records, not gates.
 //
 //   - The golden-drift gate: the golden recorders rerun with
 //     GOLDEN_UPDATE=1 in a scratch copy of the tree, and git diff must
@@ -271,10 +280,13 @@
 //     current code regenerates.
 //
 // To change modeled costs deliberately: regenerate goldens with
-// GOLDEN_UPDATE=1 go test ./..., regenerate BENCH_N.json with
-// scripts/bench_smoke.sh N, refresh the metric baseline with
-// scripts/bench_check.sh -update, and commit all three together so the PR
-// diff shows the intended figure changes.
+// GOLDEN_UPDATE=1 go test ./..., then regenerate BENCH_N.json and
+// refresh the metric baseline with
+//
+//	scripts/bench_smoke.sh > BENCH_N.json && go run ./cmd/bench-check -bench BENCH_N.json -update
+//
+// and commit all three together so the PR diff shows the intended figure
+// changes.
 //
 // # Durability & recovery
 //
@@ -437,8 +449,8 @@
 // (chunks fetched, dedup hits, serial vs critical-path cycles, faults) is
 // therefore bit-identical across worker counts; cmd/pull-bench sweeps
 // workers 1,2,4,8, asserts exactly that plus the zero-fetch warm boot,
-// and its deterministic metrics land in BENCH_N.json where
-// scripts/bench_check.sh gates them like every other simulated figure.
+// and cmd/bench-check gates its deterministic metrics like every other
+// simulated figure.
 //
 // # Wire front end & wall-clock benchmarking
 //
@@ -473,7 +485,7 @@
 //
 // This is where the repo's two kinds of performance measurement meet.
 // Sim-cycle figures are modeled costs: deterministic, bit-identical
-// across hosts, gated by scripts/bench_check.sh. Wall-clock figures
+// across hosts, gated by cmd/bench-check. Wall-clock figures
 // measure the host and are informational only. internal/loadgen keeps
 // the two cleanly apart: its closed-loop harness (fixed client
 // population, seeded key/tenant/payload mix, warmup/inject/recover
@@ -482,7 +494,8 @@
 // fixed-bucket latency histogram (p50/p95/p99/max) times real HTTP round
 // trips — informational. cmd/wire-bench runs the whole stack twice on
 // fresh loopback servers and asserts every deterministic counter matches
-// bit-for-bit (runs_equal, gated); `wire-bench -pprof` additionally
+// bit-for-bit (runs_equal; the command fails otherwise, as it does on
+// a lost request or a rejected frame); `wire-bench -pprof` additionally
 // mounts net/http/pprof on the bench listener, which is how the hot-path
 // work is found: profile, fold allocations out of the frame/seal paths
 // (exact-capacity contiguous seal buffers, precomputed AADs, slice-based

@@ -1,6 +1,7 @@
 package scbr
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -344,5 +345,35 @@ func TestFigure3SmokeTest(t *testing.T) {
 	}
 	if big.InsideFaults <= small.InsideFaults {
 		t.Fatalf("inside faults did not rise: %d -> %d", small.InsideFaults, big.InsideFaults)
+	}
+}
+
+// TestFigure3ParallelMatchesSequential pins the statement that makes the
+// parallel sweep trustworthy: every occupancy point builds its own twin
+// platforms, so fanning points across goroutines changes the wall clock
+// and nothing else. The points straddle the golden platform's 3 MiB of
+// usable EPC, so a point that leaked EPC or LLC state into another would
+// shift its fault counts.
+func TestFigure3ParallelMatchesSequential(t *testing.T) {
+	cfg := Figure3Config{
+		OccupanciesMB: []float64{1, 3, 6},
+		MeasureOps:    100,
+		PayloadBytes:  600,
+		CheckCost:     450,
+		Seed:          42,
+		Platform:      goldenPlatform(),
+	}
+	cfg.Parallel = 1
+	seq, err := RunFigure3(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Parallel = 3
+	par, err := RunFigure3(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(par, seq) {
+		t.Fatalf("parallel sweep %+v != sequential %+v", par, seq)
 	}
 }

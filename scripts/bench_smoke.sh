@@ -1,157 +1,113 @@
 #!/usr/bin/env bash
-# bench_smoke.sh — the per-PR performance smoke: a reduced Figure 3 sweep
-# through cmd/scbr-bench plus the CacheMissVsSwap benchmark, folded into one
-# BENCH_<n>.json recording wall-clock (simulator speed) next to sim-cycle
-# metrics (modeled costs). Run from the repo root:
+# bench_smoke.sh — the per-PR performance smoke: every bench driver, a
+# reduced Figure 3 sweep through cmd/scbr-bench and the CacheMissVsSwap and
+# BrokerPublishParallel Go benchmarks, folded into one JSON document on
+# stdout that records wall-clock (simulator speed) next to sim-cycle metrics
+# (modeled costs). Run from the repo root:
 #
-#   scripts/bench_smoke.sh [N]
+#   scripts/bench_smoke.sh > BENCH_N.json
+#   go run ./cmd/bench-check -bench BENCH_N.json
 #
-# N selects the output file BENCH_N.json (default 1). The sweep is reduced
-# (3 points, 200 ops) so the smoke finishes in well under a minute; the
-# full-fidelity nine-point sweep remains `go run ./cmd/scbr-bench`.
+# One contract holds for every gated section: a flat "deterministic"
+# {name: number} map, which cmd/bench-check compares against
+# scripts/bench_baseline.json; everything else is informational. The raw
+# Go benchmark result lines go under "go_bench". Each driver enforces its
+# own invariants and exits nonzero when one fails, which aborts this script
+# (set -e), so a broken run never reaches a baseline refresh. Needs jq.
+#
+# The Figure 3 sweep is reduced (3 points, 200 ops) so the smoke finishes in
+# well under a minute; the full-fidelity nine-point sweep remains
+# `go run ./cmd/scbr-bench`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-N="${1:-1}"
-OUT="BENCH_${N}.json"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
-echo "bench-smoke: reduced Figure 3 sweep (60,120,200 MB @ 200 ops)" >&2
-go run ./cmd/scbr-bench -ops 200 -points 60,120,200 -payload 1200 -json \
-    >"$TMP/sweep.json"
-
-# The same sweep with points fanned across goroutines: values must be
-# bit-identical (independent twin platforms per point); only wall clock
-# may differ — on multicore hosts it shrinks toward 1/3.
-echo "bench-smoke: parallel Figure 3 sweep (-parallel 3)" >&2
-go run ./cmd/scbr-bench -ops 200 -points 60,120,200 -payload 1200 -json \
-    -parallel 3 >"$TMP/sweep_par.json"
+# The points are independent twin platforms, so -parallel 3 is bit-identical
+# to a sequential sweep (TestFigure3ParallelMatchesSequential pins this);
+# only the wall clock shrinks on multicore hosts.
+echo "bench-smoke: reduced Figure 3 sweep (60,120,200 MB @ 200 ops, -parallel 3)" >&2
+go run ./cmd/scbr-bench -ops 200 -points 60,120,200 -payload 1200 -parallel 3 -json \
+    >"$TMP/figure3.json"
 
 # Sharded KV store + parallel secure map/reduce, including the smartgrid
-# billing end-to-end pipeline. All sim metrics in its "deterministic"
-# object are gated by scripts/bench_check.sh.
+# billing end-to-end pipeline; fails if the sharded store's results diverge
+# from the sequential store.
 echo "bench-smoke: kv-bench (sharded store + parallel map/reduce + smartgrid billing)" >&2
 go run ./cmd/kv-bench -json >"$TMP/kv.json"
 
-# Application plane: the four closed-loop fault-injection scenarios
-# (crash, load spike, hot-key skew, slow replica) plus the declarative
-# admission lab (overload, noisy-neighbor, cascade, slow-network,
-# recovery, crash-state, key-revocation, delta-durability), the simulated multi-node
-# cluster lab (node-crash, node-partition, byzantine-registry — placement
-# locality, partition fail-closed and cache-poisoning tripwires) and the
+# Application plane: the four closed-loop fault-injection scenarios, the
+# declarative admission lab, the simulated multi-node cluster lab and the
 # overload admission-on/off contrast arm, each swept across worker counts
-# 1,2,4,8. The driver itself asserts that adaptation traces, cycle totals
-# and every lab metric — including the per-node cluster figures — are
-# bit-identical across the sweep and that each lab spec's assertion table
-# passes; the deterministic metrics, assertion verdicts and the contrast
-# flag are gated by scripts/bench_check.sh.
+# 1,2,4,8. Fails unless every trace and lab metric is bit-identical across
+# the sweep, every lab assertion table passes and the contrast holds.
 echo "bench-smoke: app-bench (orchestrated replica-set scenarios + admission & cluster labs, workers 1,2,4,8)" >&2
 go run ./cmd/app-bench -json >"$TMP/app.json"
 
 # Content-addressed data plane: chunk-granular registry push with dedup,
 # then cold / shared-base / warm pulls through the node blob cache, swept
-# across pull worker counts 1,2,4,8. The driver itself asserts that all
-# simulated metrics are bit-identical across the sweep and that the warm
-# (second-replica) pull fetches zero chunks; the deterministic metrics are
-# gated by scripts/bench_check.sh.
+# across pull worker counts 1,2,4,8. Fails unless the sweep is
+# bit-identical and the warm pull fetches zero chunks.
 echo "bench-smoke: pull-bench (chunk registry + parallel verified pulls, workers 1,2,4,8)" >&2
 go run ./cmd/pull-bench -json >"$TMP/pull.json"
 
-# Wire front end: the seeded closed-loop HTTP workload (warmup / inject /
-# recover through an admission-controlled plane, plus SCBR over HTTP) run
-# twice on fresh stacks. All counters in its "deterministic" object —
-# including runs_equal — are gated by scripts/bench_check.sh; the latency
-# quantiles in "wallclock" measure the host and are informational.
+# Wire front end: the seeded closed-loop HTTP workload run twice on fresh
+# stacks. Fails unless both runs agree, no request is lost and the gateway
+# rejects nothing; the latency quantiles in "wallclock" are informational.
 echo "bench-smoke: wire-bench (HTTP plane + SCBR closed-loop load, run twice)" >&2
 go run ./cmd/wire-bench -json >"$TMP/wire.json"
 
-# HTTP-vs-in-process timing: the same plane probed one request at a time
-# through the HTTP PlaneTransport and an in-process bus client, across
-# payload sizes. Pure wall-clock (it measures the host's loopback stack),
-# so the whole section is informational — never gated.
+# HTTP-vs-in-process timing across payload sizes. Pure wall-clock (it
+# measures the host's loopback stack), so the section has no
+# "deterministic" map and is never gated.
 echo "bench-smoke: wire-bench -timing (HTTP vs in-process per-request latency)" >&2
 go run ./cmd/wire-bench -timing -timing-requests 100 -json >"$TMP/wire_timing.json"
 
-# Delta durability: incremental snapshot vs full-snapshot baseline, warm
-# delta recovery vs cold recovery, WAL-segment GC — swept across worker
-# counts 1,2,4,8. The driver itself asserts worker invariance and that the
-# delta strictly beats the baseline in chunks, cycles and fetches; the
-# "deterministic" object is gated by scripts/bench_check.sh.
+# Delta durability: incremental snapshot vs full baseline, warm delta
+# recovery vs cold recovery, WAL-segment GC, swept across worker counts
+# 1,2,4,8. Fails unless the sweep is bit-identical and the delta beats the
+# baseline in chunks, cycles and fetches.
 echo "bench-smoke: durability-bench (delta snapshots + warm recovery + WAL GC, workers 1,2,4,8)" >&2
 go run ./cmd/durability-bench -json >"$TMP/durability.json"
 
+# Go benchmarks: the custom units (sim-cycles/match, faults/match, ...) are
+# deterministic; cmd/bench-check requires BrokerPublishParallel's to agree
+# across -cpu 1,4. Wall-clock ns/op shows host scaling only.
 echo "bench-smoke: go test -bench=CacheMissVsSwap -benchtime=1x" >&2
 go test -run '^$' -bench 'CacheMissVsSwap' -benchtime=1x . >"$TMP/bench.txt" 2>&1 \
     || { cat "$TMP/bench.txt" >&2; exit 1; }
-
-# Parallel broker throughput at GOMAXPROCS 1 and 4. The simulated metrics
-# (sim-cycles/match, faults/match, sim-speedup) are deterministic and must
-# be identical across -cpu settings; wall-clock ns/op additionally shows
-# host scaling when the machine has real cores to offer.
 echo "bench-smoke: go test -bench=BrokerPublishParallel -cpu 1,4" >&2
 go test -run '^$' -bench 'BrokerPublishParallel' -benchtime 2000x -cpu 1,4 \
-    ./internal/scbr >"$TMP/par.txt" 2>&1 \
-    || { cat "$TMP/par.txt" >&2; exit 1; }
+    ./internal/scbr >>"$TMP/bench.txt" 2>&1 \
+    || { cat "$TMP/bench.txt" >&2; exit 1; }
+grep '^Benchmark' "$TMP/bench.txt" | jq -R . | jq -s . >"$TMP/go_bench.json"
 
-awk '
-/^BenchmarkBrokerPublishParallel/ {
-    cpus=1
-    if (match($1, /-[0-9]+$/)) cpus = substr($1, RSTART+1)
-    ns=""; faults=""; cycles=""; crit=""; speedup=""
-    for (i = 2; i < NF; i++) {
-        if ($(i+1) == "ns/op") ns = $i
-        if ($(i+1) == "faults/match") faults = $i
-        if ($(i+1) == "sim-cycles/match") cycles = $i
-        if ($(i+1) == "sim-critical-cycles/match") crit = $i
-        if ($(i+1) == "sim-speedup") speedup = $i
-    }
-    printf "%s{\"gomaxprocs\":%s,\"wall_ns_per_publish\":%s,\"faults_per_match\":%s,\"sim_cycles_per_match\":%s,\"sim_critical_cycles_per_match\":%s,\"sim_speedup\":%s}", sep, cpus, ns, faults, cycles, crit, speedup
-    sep=","
-}
-BEGIN { printf "[" } END { printf "]" }
-' "$TMP/par.txt" >"$TMP/par.json"
-
-# Fold `store=NMB  iters  X ns/op  F faults/match  C sim-cycles/match` lines
-# into JSON objects.
-awk '
-/^BenchmarkCacheMissVsSwap/ {
-    name=$1; sub(/^BenchmarkCacheMissVsSwap\//, "", name); sub(/-[0-9]+$/, "", name)
-    ns=""; faults=""; cycles=""
-    for (i = 2; i < NF; i++) {
-        if ($(i+1) == "ns/op") ns = $i
-        if ($(i+1) == "faults/match") faults = $i
-        if ($(i+1) == "sim-cycles/match") cycles = $i
-    }
-    printf "%s{\"case\":\"%s\",\"wall_ns_per_op\":%s,\"faults_per_match\":%s,\"sim_cycles_per_match\":%s}", sep, name, ns, faults, cycles
-    sep=","
-}
-BEGIN { printf "[" } END { printf "]" }
-' "$TMP/bench.txt" >"$TMP/cachemiss.json"
+DIRTY=false
+[ -z "$(git status --porcelain --untracked-files=no 2>/dev/null)" ] || DIRTY=true
 
 # scripts/seed_baseline.json (committed) records the pre-optimization seed
 # measurements this trajectory is judged against; embed it when present.
 SEED_BASELINE="scripts/seed_baseline.json"
-{
-    echo "{"
-    echo "  \"generated_by\": \"scripts/bench_smoke.sh\","
-    echo "  \"date_utc\": \"$(date -u +%Y-%m-%dT%H:%M:%SZ)\","
-    echo "  \"go_version\": \"$(go env GOVERSION)\","
-    if [ -f "$SEED_BASELINE" ]; then
-        echo "  \"seed_baseline\": $(cat "$SEED_BASELINE"),"
-    fi
-    echo "  \"host_cpus\": $(nproc),"
-    echo "  \"kv_bench\": $(cat "$TMP/kv.json"),"
-    echo "  \"app_bench\": $(cat "$TMP/app.json"),"
-    echo "  \"pull_bench\": $(cat "$TMP/pull.json"),"
-    echo "  \"wire_bench\": $(cat "$TMP/wire.json"),"
-    echo "  \"wire_timing\": $(cat "$TMP/wire_timing.json"),"
-    echo "  \"durability_bench\": $(cat "$TMP/durability.json"),"
-    echo "  \"cache_miss_vs_swap\": $(cat "$TMP/cachemiss.json"),"
-    echo "  \"broker_publish_parallel\": $(cat "$TMP/par.json"),"
-    echo "  \"figure3_reduced_sweep\": $(cat "$TMP/sweep.json"),"
-    echo "  \"figure3_reduced_sweep_parallel\": $(cat "$TMP/sweep_par.json")"
-    echo "}"
-} >"$OUT"
-
-echo "bench-smoke: wrote $OUT" >&2
+echo "{"
+echo "  \"generated_by\": \"scripts/bench_smoke.sh\","
+echo "  \"date_utc\": \"$(date -u +%Y-%m-%dT%H:%M:%SZ)\","
+echo "  \"commit\": \"$(git rev-parse HEAD 2>/dev/null || echo unknown)\","
+echo "  \"dirty\": $DIRTY,"
+echo "  \"go_version\": \"$(go env GOVERSION)\","
+echo "  \"cpu_model\": $(grep -m1 '^model name' /proc/cpuinfo | cut -d: -f2- | jq -R 'ltrimstr(" ")'),"
+echo "  \"host_cpus\": $(nproc),"
+# The Go runtime defaults GOMAXPROCS to the CPUs the process may use.
+echo "  \"gomaxprocs\": ${GOMAXPROCS:-$(nproc)},"
+if [ -f "$SEED_BASELINE" ]; then
+    echo "  \"seed_baseline\": $(cat "$SEED_BASELINE"),"
+fi
+echo "  \"kv_bench\": $(cat "$TMP/kv.json"),"
+echo "  \"app_bench\": $(cat "$TMP/app.json"),"
+echo "  \"pull_bench\": $(cat "$TMP/pull.json"),"
+echo "  \"wire_bench\": $(cat "$TMP/wire.json"),"
+echo "  \"wire_timing\": $(cat "$TMP/wire_timing.json"),"
+echo "  \"durability_bench\": $(cat "$TMP/durability.json"),"
+echo "  \"figure3\": $(cat "$TMP/figure3.json"),"
+echo "  \"go_bench\": $(cat "$TMP/go_bench.json")"
+echo "}"
