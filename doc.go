@@ -36,8 +36,8 @@
 //   - Typed causes. Accounting categories ("llc-hit", "epc-fault", ...)
 //     are interned once as sim.Cause values — small integers indexing a
 //     fixed-size array ledger in sim.Counter. Charging is an array add; no
-//     string hashing or map insertion happens per event. The string-keyed
-//     Charge/Cost/Events/Snapshot API remains as a compatibility shim.
+//     string hashing or map insertion happens per event. Callers charge
+//     and query by Cause only (ChargeCause, CauseCost, CauseEvents).
 //
 //   - Batched commits. Access accumulates per-cause event counts in stack
 //     locals while it walks lines, then commits once: one ledger charge,
@@ -204,14 +204,12 @@
 // puts a tenant-aware admission controller between the front-end's poll
 // and the replicas' queues:
 //
-//   - Tenant envelope. PlaneClient.SendTenant tags each request with a
-//     tenant and a client-assigned id using a second frame version: the
-//     two bytes where a legacy frame keeps its key length hold the
-//     reserved magic 0xFFFF (SendBatch rejects keys that long), followed
-//     by a flags byte, the tenant, the id, and then the usual key +
-//     sealed body. Untagged requests keep the legacy layout bit for bit,
-//     and replies echo the request's envelope, so a plane without an
-//     AdmissionConfig is byte-identical to the pre-admission plane.
+//   - Tenant envelope. Every plane frame carries one: the magic 0xFFFF, a
+//     flags byte, the tenant, a client-assigned id, then the routing key
+//     and the sealed body. PlaneClient.SendTenantIDs tags each request
+//     with its tenant ("" for untagged load) and id, and replies echo the
+//     request's envelope. There is one frame layout; a frame without the
+//     magic is malformed.
 //
 //   - Token buckets and weighted-fair dequeue. Each tenant has a
 //     TenantPolicy (Weight, Rate, Burst, MaxQueue); buckets refill once

@@ -40,11 +40,11 @@ import (
 // attest → key release through the KeyBroker → subscribe. No constructor
 // accepts raw keys; an enclave that fails attestation never joins the set.
 //
-// Requests travel as frames: a cleartext routing key (metadata, like a
-// topic name — the untrusted bus already sees message boundaries) followed
-// by the body sealed under the service's request key. The front-end routes
-// on the key with consistent hashing over the live replica order, so one
-// logical entity (a smart meter, a feeder, a tenant) always lands on the
+// Requests travel as frames: a cleartext tenant envelope and routing key
+// (metadata, like a topic name — the untrusted bus already sees message
+// boundaries) followed by the body sealed under the service's request
+// key. The front-end routes on the key with consistent hashing over the
+// live replica order, so one logical entity (a smart meter, a feeder, a tenant) always lands on the
 // same replica; the body is opened only inside the owning replica's
 // enclave. Replies are sealed the same way in the opposite direction.
 //
@@ -212,12 +212,11 @@ type frontEnd struct {
 	shedAAD []byte // "shed|<name>", precomputed once per set
 }
 
-// frameMeta is the tenant envelope of a v2 frame: the tenant ID the
-// admission controller accounts the request to and the client-assigned
-// request ID echoed in replies (served and shed alike) so clients can
-// correlate. Legacy frames decode to the zero meta (default tenant "").
+// frameMeta is the tenant envelope of a frame: the tenant ID the
+// admission controller accounts the request to (untagged load uses the
+// default tenant "") and the client-assigned request ID echoed in replies
+// (served and shed alike) so clients can correlate.
 type frameMeta struct {
-	v2     bool
 	tenant string
 	id     uint64
 }
@@ -817,7 +816,7 @@ func (r *Replica) serveOne(q request) ([]byte, bool) {
 	}
 	var frame []byte
 	if len(resp) > 0 {
-		hdr := appendReplyHeader(make([]byte, 0, replyFrameCap(q, len(resp)+r.box.Overhead())), q)
+		hdr := frameHeader(q.key, q.meta, 0, len(resp)+r.box.Overhead())
 		sealedStart := len(hdr)
 		frame, err = r.box.SealAppend(hdr, resp, r.respAAD)
 		if err != nil {
@@ -963,7 +962,7 @@ func (rs *ReplicaSet) Step() (StepStats, error) {
 	rs.mu.Unlock()
 	var arrivals []request
 	for _, f := range frames {
-		q, shedFlag, err := decodeFrameAny(f)
+		q, shedFlag, err := decodeFrame(f)
 		if err != nil || shedFlag {
 			// A malformed frame means a buggy or malicious holder of the
 			// topic key (the topic seal already authenticated); a shed
@@ -1104,7 +1103,7 @@ func (rs *ReplicaSet) Step() (StepStats, error) {
 
 // publishSheds seals and publishes the step's shed replies, after the
 // serve replies: each carries the retry-after hint (8-byte float64 sim-ms)
-// sealed under the shed AAD, framed v2 with the shed flag and the original
+// sealed under the shed AAD, framed with the shed flag and the original
 // request's tenant envelope so the client can correlate.
 func (rs *ReplicaSet) publishSheds(sheds []shedVerdict, st *StepStats) error {
 	if len(sheds) == 0 {
@@ -1116,9 +1115,7 @@ func (rs *ReplicaSet) publishSheds(sheds []shedVerdict, st *StepStats) error {
 	for _, sv := range sheds {
 		var body [8]byte
 		binary.BigEndian.PutUint64(body[:], math.Float64bits(sv.retryAfterMS))
-		hdr := appendFrameV2Header(
-			make([]byte, 0, frameV2HeaderLen(sv.req.key, sv.req.meta)+8+overhead),
-			sv.req.key, sv.req.meta, frameFlagShed)
+		hdr := frameHeader(sv.req.key, sv.req.meta, frameFlagShed, 8+overhead)
 		frame, err := rs.front.box.SealAppend(hdr, body[:], rs.front.shedAAD)
 		if err != nil {
 			if firstErr == nil {
@@ -1159,52 +1156,26 @@ func reqAADFor(name string) []byte  { return []byte("req|" + name) }
 func respAADFor(name string) []byte { return []byte("resp|" + name) }
 func shedAADFor(name string) []byte { return []byte("shed|" + name) }
 
-// appendFrameHeader appends the legacy frame header (2-byte big-endian key
-// length, then the key) to b.
-func appendFrameHeader(b []byte, key string) []byte {
-	var l [2]byte
-	binary.BigEndian.PutUint16(l[:], uint16(len(key)))
-	b = append(b, l[:]...)
-	return append(b, key...)
-}
-
-// encodeFrame frames a routing key and a sealed body for the bus: 2-byte
-// big-endian key length, the key, the sealed body. The key is cleartext
-// routing metadata (like a topic name); the body stays sealed end to end.
-func encodeFrame(key string, sealed []byte) []byte {
-	b := appendFrameHeader(make([]byte, 0, 2+len(key)+len(sealed)), key)
-	return append(b, sealed...)
-}
-
-// decodeFrame splits a frame into routing key and sealed body.
-func decodeFrame(b []byte) (string, []byte, error) {
-	if len(b) < 2 {
-		return "", nil, ErrBadFrame
-	}
-	n := int(binary.BigEndian.Uint16(b))
-	if len(b) < 2+n {
-		return "", nil, ErrBadFrame
-	}
-	return string(b[2 : 2+n]), b[2+n:], nil
-}
-
-// v2 frames carry the tenant envelope. The leading key-length slot holds
-// the reserved magic (no legacy key is 64 KiB−1 long — SendBatch rejects
-// it), so the two formats coexist on one topic:
+// A plane frame carries the tenant envelope ahead of the routing key and
+// the sealed body:
 //
 //	0xFF 0xFF | flags u8 | tlen u8 | tenant | id u64 | klen u16 | key | sealed
 //
-// flags bit 0 marks a shed reply (sealed body = retry-after, not a
-// response). Everything before sealed is cleartext routing metadata, like
-// the legacy key — tenant IDs are account names, not payload.
+// A frame that does not start with the magic is malformed. flags bit 0
+// marks a shed reply (sealed body = retry-after, not a response).
+// Everything before sealed is cleartext routing metadata, like a topic
+// name — tenant IDs are account names, not payload.
 const (
 	frameMagic    = 0xFFFF
 	frameFlagShed = 0x01
 )
 
-// appendFrameV2Header appends everything of a v2 frame before the sealed
-// body: magic, flags, tenant envelope, request ID and routing key.
-func appendFrameV2Header(b []byte, key string, meta frameMeta, flags byte) []byte {
+// frameHeader lays out everything of a frame before the sealed body —
+// magic, flags, tenant envelope, request ID and routing key — in a buffer
+// with exactly sealedLen bytes of spare capacity, so SealAppend never
+// regrows it.
+func frameHeader(key string, meta frameMeta, flags byte, sealedLen int) []byte {
+	b := make([]byte, 0, 2+1+1+len(meta.tenant)+8+2+len(key)+sealedLen)
 	var w [8]byte
 	binary.BigEndian.PutUint16(w[:2], frameMagic)
 	b = append(b, w[0], w[1], flags, byte(len(meta.tenant)))
@@ -1216,47 +1187,10 @@ func appendFrameV2Header(b []byte, key string, meta frameMeta, flags byte) []byt
 	return append(b, key...)
 }
 
-// frameV2HeaderLen is the byte length appendFrameV2Header emits.
-func frameV2HeaderLen(key string, meta frameMeta) int {
-	return 2 + 1 + 1 + len(meta.tenant) + 8 + 2 + len(key)
-}
-
-// encodeFrameV2 frames a request or reply with its tenant envelope.
-func encodeFrameV2(key string, sealed []byte, meta frameMeta, flags byte) []byte {
-	b := appendFrameV2Header(make([]byte, 0, frameV2HeaderLen(key, meta)+len(sealed)), key, meta, flags)
-	return append(b, sealed...)
-}
-
-// replyFrameCap is the exact frame size of a reply to q whose sealed body
-// is sealedLen bytes — the capacity serveOne preallocates so SealAppend
-// never regrows the buffer.
-func replyFrameCap(q request, sealedLen int) int {
-	if q.meta.v2 {
-		return frameV2HeaderLen(q.key, q.meta) + sealedLen
-	}
-	return 2 + len(q.key) + sealedLen
-}
-
-// appendReplyHeader appends the header of a reply to q in the same frame
-// version as the request (see encodeReply).
-func appendReplyHeader(b []byte, q request) []byte {
-	if q.meta.v2 {
-		return appendFrameV2Header(b, q.key, q.meta, 0)
-	}
-	return appendFrameHeader(b, q.key)
-}
-
-// decodeFrameAny decodes either frame version into a request; the bool
-// reports the v2 shed flag (always false for legacy frames).
-func decodeFrameAny(b []byte) (request, bool, error) {
-	if len(b) < 2 || binary.BigEndian.Uint16(b) != frameMagic {
-		key, sealed, err := decodeFrame(b)
-		if err != nil {
-			return request{}, false, err
-		}
-		return request{key: key, sealed: sealed}, false, nil
-	}
-	if len(b) < 4 {
+// decodeFrame decodes a frame into a request; the bool reports the shed
+// flag.
+func decodeFrame(b []byte) (request, bool, error) {
+	if len(b) < 4 || binary.BigEndian.Uint16(b) != frameMagic {
 		return request{}, false, ErrBadFrame
 	}
 	flags := b[2]
@@ -1277,18 +1211,9 @@ func decodeFrameAny(b []byte) (request, bool, error) {
 	q := request{
 		key:    string(b[off : off+kn]),
 		sealed: b[off+kn:],
-		meta:   frameMeta{v2: true, tenant: tenant, id: id},
+		meta:   frameMeta{tenant: tenant, id: id},
 	}
 	return q, flags&frameFlagShed != 0, nil
-}
-
-// encodeReply frames a served reply in the same version as its request, so
-// tenant-tagged requests get their envelope (tenant, id) echoed back and
-// legacy clients see byte-identical legacy frames. The serve path fuses
-// framing into the seal (appendReplyHeader + SealAppend); this whole-frame
-// form remains for tests pinning the byte layout.
-func encodeReply(q request, sealed []byte) []byte {
-	return append(appendReplyHeader(make([]byte, 0, replyFrameCap(q, len(sealed))), q), sealed...)
 }
 
 // PlaneRequest is one client request: a cleartext routing key and the
@@ -1299,7 +1224,7 @@ type PlaneRequest struct {
 }
 
 // PlaneReply is one opened reply. Tenant and ID echo the request envelope
-// for tenant-tagged requests (zero values for legacy ones). Shed marks an
+// (Tenant is "" for untagged requests). Shed marks an
 // admission rejection: Body is nil and RetryAfterSimMS carries the
 // server's deterministic hint.
 type PlaneReply struct {
@@ -1372,7 +1297,7 @@ type PlaneClient struct {
 	respAAD []byte
 	shedAAD []byte
 
-	// Retry state (nil retry = fire-and-forget, the legacy behaviour).
+	// Retry state (nil retry = fire-and-forget).
 	// All of it is driven by the caller's sim-ms clock, never a host
 	// clock: Poll schedules, DueRetries re-sends.
 	retry            *RetryPolicy
@@ -1425,40 +1350,13 @@ func NewPlaneClientTransport(name string, requestKey cryptbox.Key, tr Transport)
 	}, nil
 }
 
-// SendBatch seals a batch of requests and publishes it in one bus
-// transaction.
-func (c *PlaneClient) SendBatch(reqs []PlaneRequest) error {
-	if len(reqs) == 0 {
-		return nil
-	}
-	frames := make([][]byte, len(reqs))
-	for i, q := range reqs {
-		if len(q.Key) >= 0xFFFF {
-			// 0xFFFF is the v2 frame magic, reserved.
-			return fmt.Errorf("%w: routing key longer than 64 KiB-2", ErrBadFrame)
-		}
-		hdr := appendFrameHeader(make([]byte, 0, 2+len(q.Key)+len(q.Body)+c.box.Overhead()), q.Key)
-		frame, err := c.box.SealAppend(hdr, q.Body, c.reqAAD)
-		if err != nil {
-			return err
-		}
-		frames[i] = frame
-	}
-	return c.tr.SendFrames(frames)
-}
-
-// SendTenant seals and publishes a batch of requests tagged with the given
-// tenant ID (v2 frames). Each request gets a fresh monotonically
-// increasing ID, echoed in its reply; with retry enabled the client keeps
-// the request re-sendable until it is served or abandoned.
-func (c *PlaneClient) SendTenant(tenant string, reqs []PlaneRequest) error {
-	_, err := c.SendTenantIDs(tenant, reqs)
-	return err
-}
-
-// SendTenantIDs is SendTenant returning the request IDs it assigned, in
-// request order — what a load generator needs to correlate replies (served
-// and shed alike) back to send timestamps.
+// SendTenantIDs seals a batch of requests tagged with the given tenant ID
+// ("" for untagged load) and publishes it in one transport call. Each
+// request gets a fresh monotonically increasing ID, echoed in its reply;
+// with retry enabled the client keeps the request re-sendable until it is
+// served or abandoned. It returns the IDs in request order — what a load
+// generator needs to correlate replies (served and shed alike) back to
+// send timestamps.
 func (c *PlaneClient) SendTenantIDs(tenant string, reqs []PlaneRequest) ([]uint64, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -1470,15 +1368,13 @@ func (c *PlaneClient) SendTenantIDs(tenant string, reqs []PlaneRequest) ([]uint6
 	metas := make([]frameMeta, len(reqs))
 	ids := make([]uint64, len(reqs))
 	for i, q := range reqs {
-		if len(q.Key) >= 0xFFFF {
-			return nil, fmt.Errorf("%w: routing key longer than 64 KiB-2", ErrBadFrame)
+		if len(q.Key) > 0xFFFF {
+			return nil, fmt.Errorf("%w: routing key longer than 64 KiB-1", ErrBadFrame)
 		}
 		c.nextID++
-		metas[i] = frameMeta{v2: true, tenant: tenant, id: c.nextID}
+		metas[i] = frameMeta{tenant: tenant, id: c.nextID}
 		ids[i] = c.nextID
-		hdr := appendFrameV2Header(
-			make([]byte, 0, frameV2HeaderLen(q.Key, metas[i])+len(q.Body)+c.box.Overhead()),
-			q.Key, metas[i], 0)
+		hdr := frameHeader(q.Key, metas[i], 0, len(q.Body)+c.box.Overhead())
 		frame, err := c.box.SealAppend(hdr, q.Body, c.reqAAD)
 		if err != nil {
 			return nil, err
@@ -1498,13 +1394,13 @@ func (c *PlaneClient) SendTenantIDs(tenant string, reqs []PlaneRequest) ([]uint6
 	return ids, nil
 }
 
-// Send seals and publishes one request.
+// Send seals and publishes one untagged request.
 func (c *PlaneClient) Send(key string, body []byte) error {
-	return c.SendBatch([]PlaneRequest{{Key: key, Body: body}})
+	_, err := c.SendTenantIDs("", []PlaneRequest{{Key: key, Body: body}})
+	return err
 }
 
-// EnableRetry turns on deterministic shed-driven retry for tenant-tagged
-// requests.
+// EnableRetry turns on deterministic shed-driven retry.
 func (c *PlaneClient) EnableRetry(p RetryPolicy) {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 4
@@ -1532,22 +1428,27 @@ func (c *PlaneClient) Replies() ([]PlaneReply, error) {
 // clear their in-flight entries; shed replies schedule a retry at
 // nowMS + retryAfter × 2^(attempt−1) sim-ms (or abandon the request once
 // MaxAttempts is exhausted). The caller re-sends due retries with
-// DueRetries.
+// DueRetries. A frame that fails to decode or authenticate is skipped
+// without touching retry state: Poll still returns every authentic reply,
+// plus an error wrapping ErrSealedRequest that counts the skipped frames.
 func (c *PlaneClient) Poll(nowMS float64) ([]PlaneReply, error) {
 	frames, err := c.tr.RecvFrames()
 	if err != nil {
 		return nil, err
 	}
 	out := make([]PlaneReply, 0, len(frames))
+	skipped := 0
 	for _, f := range frames {
-		q, shedFlag, err := decodeFrameAny(f)
+		q, shedFlag, err := decodeFrame(f)
 		if err != nil {
-			return nil, err
+			skipped++
+			continue
 		}
 		if shedFlag {
 			raw, err := c.box.Open(q.sealed, c.shedAAD)
 			if err != nil || len(raw) != 8 {
-				return nil, ErrSealedRequest
+				skipped++
+				continue
 			}
 			rep := PlaneReply{
 				Key: q.key, Tenant: q.meta.tenant, ID: q.meta.id,
@@ -1570,12 +1471,16 @@ func (c *PlaneClient) Poll(nowMS float64) ([]PlaneReply, error) {
 		}
 		body, err := c.box.Open(q.sealed, c.respAAD)
 		if err != nil {
-			return nil, ErrSealedRequest
+			skipped++
+			continue
 		}
-		if q.meta.v2 && c.retry != nil {
+		if c.retry != nil {
 			delete(c.inflight, q.meta.id)
 		}
 		out = append(out, PlaneReply{Key: q.key, Body: body, Tenant: q.meta.tenant, ID: q.meta.id})
+	}
+	if skipped > 0 {
+		return out, fmt.Errorf("%w: %d reply frames skipped", ErrSealedRequest, skipped)
 	}
 	return out, nil
 }
@@ -1608,9 +1513,7 @@ func (c *PlaneClient) DueRetries(nowMS float64) (int, error) {
 	})
 	frames := make([][]byte, len(due))
 	for i, fl := range due {
-		hdr := appendFrameV2Header(
-			make([]byte, 0, frameV2HeaderLen(fl.key, fl.meta)+len(fl.body)+c.box.Overhead()),
-			fl.key, fl.meta, 0)
+		hdr := frameHeader(fl.key, fl.meta, 0, len(fl.body)+c.box.Overhead())
 		frame, err := c.box.SealAppend(hdr, fl.body, c.reqAAD)
 		if err != nil {
 			return 0, err
@@ -1630,11 +1533,11 @@ func (c *PlaneClient) DueRetries(nowMS float64) (int, error) {
 func (c *PlaneClient) Close() { c.tr.Close() }
 
 // CheckFrame validates a sealed plane frame without decrypting anything:
-// it must decode as either frame version and must not carry the shed flag
+// it must decode and must not carry the shed flag
 // (sheds are server→client only). Gateways use it to reject malformed
 // ingress before a frame reaches a topic.
 func CheckFrame(b []byte) error {
-	_, shed, err := decodeFrameAny(b)
+	_, shed, err := decodeFrame(b)
 	if err != nil {
 		return err
 	}
@@ -1645,16 +1548,10 @@ func CheckFrame(b []byte) error {
 }
 
 // PeekFrameTenant reads a frame's cleartext tenant envelope and shed flag
-// without materializing the rest (legacy frames map to the default tenant
-// "") — the lean form gateways route reply mailboxes with.
+// without materializing the rest — the lean form gateways route reply
+// mailboxes with.
 func PeekFrameTenant(b []byte) (tenant string, shed bool, err error) {
-	if len(b) < 2 || binary.BigEndian.Uint16(b) != frameMagic {
-		if _, _, err := decodeFrame(b); err != nil {
-			return "", false, err
-		}
-		return "", false, nil
-	}
-	if len(b) < 4 {
+	if len(b) < 4 || binary.BigEndian.Uint16(b) != frameMagic {
 		return "", false, ErrBadFrame
 	}
 	tn := int(b[3])

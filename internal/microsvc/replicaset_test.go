@@ -56,7 +56,7 @@ func TestReplicaSetServesOnPlane(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = PlaneRequest{Key: fmt.Sprintf("meter-%02d", i), Body: []byte(fmt.Sprintf("reading %d", i))}
 	}
-	if err := client.SendBatch(reqs); err != nil {
+	if _, err := client.SendTenantIDs("", reqs); err != nil {
 		t.Fatal(err)
 	}
 	st, err := rs.Step()
@@ -156,7 +156,7 @@ func TestReplicaSetKeyAffinity(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			batch = append(batch, PlaneRequest{Key: "feeder-7", Body: []byte("x")})
 		}
-		if err := client.SendBatch(batch); err != nil {
+		if _, err := client.SendTenantIDs("", batch); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := rs.Step(); err != nil {
@@ -194,7 +194,7 @@ func TestRetireRequeuesPending(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		batch = append(batch, PlaneRequest{Key: fmt.Sprintf("k%d", i), Body: []byte("b")})
 	}
-	if err := client.SendBatch(batch); err != nil {
+	if _, err := client.SendTenantIDs("", batch); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rs.Step(); err != nil {
@@ -257,16 +257,150 @@ func TestStepWithNoReplicasRequeues(t *testing.T) {
 	}
 }
 
+// TestFrameCodec pins the frame layout byte for byte and the decoders'
+// verdicts on malformed input, including the retired v1 layout (a bare
+// key length where the magic belongs).
 func TestFrameCodec(t *testing.T) {
-	f := encodeFrame("feeder-07", []byte("sealed-bytes"))
-	key, sealed, err := decodeFrame(f)
-	if err != nil || key != "feeder-07" || string(sealed) != "sealed-bytes" {
-		t.Fatalf("roundtrip = %q %q %v", key, sealed, err)
+	meta := frameMeta{tenant: "acme", id: 42}
+	f := append(frameHeader("feeder-07", meta, 0, 0), "sealed-bytes"...)
+	want := []byte{0xFF, 0xFF, 0x00, 4, 'a', 'c', 'm', 'e', 0, 0, 0, 0, 0, 0, 0, 42, 0x00, 9}
+	want = append(append(want, "feeder-07"...), "sealed-bytes"...)
+	if !bytes.Equal(f, want) {
+		t.Fatalf("frame = %x, want %x", f, want)
 	}
-	for _, bad := range [][]byte{nil, {0x00}, {0x00, 0x10, 'x'}} {
+	if c := cap(frameHeader("feeder-07", meta, 0, len("sealed-bytes"))); c != len(want) {
+		t.Fatalf("frameHeader capacity = %d, want %d", c, len(want))
+	}
+	q, shed, err := decodeFrame(f)
+	if err != nil || shed || q.key != "feeder-07" || q.meta != meta || string(q.sealed) != "sealed-bytes" {
+		t.Fatalf("roundtrip = %+v shed=%v err=%v", q, shed, err)
+	}
+	if tenant, shed, err := PeekFrameTenant(f); err != nil || shed || tenant != "acme" {
+		t.Fatalf("PeekFrameTenant = %q %v %v", tenant, shed, err)
+	}
+	if err := CheckFrame(f); err != nil {
+		t.Fatalf("CheckFrame = %v", err)
+	}
+	sf := frameHeader("k", meta, frameFlagShed, 0)
+	if _, shed, err := decodeFrame(sf); err != nil || !shed {
+		t.Fatalf("shed frame: shed=%v err=%v", shed, err)
+	}
+	if err := CheckFrame(sf); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("CheckFrame(shed) = %v, want ErrBadFrame", err)
+	}
+	for _, bad := range [][]byte{
+		nil,
+		{0xFF, 0xFF, 0x00},
+		{0x00, 0x01, 'k', 's'},                 // retired v1 layout
+		{0xFF, 0xFF, 0x00, 5, 'a', 'c'},        // tenant runs past the end
+		want[:len(want)-len("sealed-bytes")-1], // key runs past the end
+	} {
 		if _, _, err := decodeFrame(bad); !errors.Is(err, ErrBadFrame) {
-			t.Fatalf("decodeFrame(%v) err = %v, want ErrBadFrame", bad, err)
+			t.Fatalf("decodeFrame(%x) err = %v, want ErrBadFrame", bad, err)
 		}
+		if _, _, err := PeekFrameTenant(bad); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("PeekFrameTenant(%x) err = %v, want ErrBadFrame", bad, err)
+		}
+	}
+}
+
+// FuzzDecodeFrame: no input panics; PeekFrameTenant accepts exactly what
+// decodeFrame accepts, with the same tenant and shed flag; CheckFrame
+// accepts exactly the accepted frames without the shed flag; and every
+// accepted frame re-encodes byte for byte.
+func FuzzDecodeFrame(f *testing.F) {
+	f.Add(append(frameHeader("feeder-07", frameMeta{tenant: "acme", id: 7}, 0, 0), "sealed"...))
+	f.Add(frameHeader("k", frameMeta{}, frameFlagShed, 0))
+	f.Add([]byte{0x00, 0x01, 'k', 's'})
+	f.Add([]byte{0xFF, 0xFF, 0x00})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		q, shed, err := decodeFrame(b)
+		tenant, pshed, perr := PeekFrameTenant(b)
+		cerr := CheckFrame(b)
+		if err != nil {
+			if !errors.Is(err, ErrBadFrame) || !errors.Is(perr, ErrBadFrame) || !errors.Is(cerr, ErrBadFrame) {
+				t.Fatalf("rejected frame: decode %v, peek %v, check %v", err, perr, cerr)
+			}
+			return
+		}
+		if perr != nil || tenant != q.meta.tenant || pshed != shed {
+			t.Fatalf("peek = %q %v %v, decode = %q %v", tenant, pshed, perr, q.meta.tenant, shed)
+		}
+		if (cerr == nil) == shed {
+			t.Fatalf("CheckFrame = %v with shed=%v", cerr, shed)
+		}
+		if re := append(frameHeader(q.key, q.meta, b[2], 0), q.sealed...); !bytes.Equal(re, b) {
+			t.Fatalf("re-encode = %x, want %x", re, b)
+		}
+	})
+}
+
+// fakeTransport hands Poll a fixed frame sequence and records sends.
+type fakeTransport struct {
+	sent, recv [][]byte
+}
+
+func (f *fakeTransport) SendFrames(frames [][]byte) error {
+	f.sent = append(f.sent, frames...)
+	return nil
+}
+
+func (f *fakeTransport) RecvFrames() ([][]byte, error) {
+	out := f.recv
+	f.recv = nil
+	return out, nil
+}
+
+func (f *fakeTransport) Close() {}
+
+// TestPollSkipsBadFrames: a forged or malformed reply frame among valid
+// ones costs only itself. Poll returns every authentic reply, reports the
+// skipped count through ErrSealedRequest, and leaves the forged frame's
+// request in flight.
+func TestPollSkipsBadFrames(t *testing.T) {
+	const name = "plane/poll"
+	var key cryptbox.Key
+	key[0] = 0x71
+	tr := &fakeTransport{}
+	client, err := NewPlaneClientTransport(name, key, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.EnableRetry(RetryPolicy{})
+	ids, err := client.SendTenantIDs("t", []PlaneRequest{{Key: "a", Body: []byte("1")}, {Key: "b", Body: []byte("2")}, {Key: "c", Body: []byte("3")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply := func(k cryptbox.Key, id uint64, body string) []byte {
+		box, err := cryptbox.NewBox(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr := frameHeader("k", frameMeta{tenant: "t", id: id}, 0, 0)
+		f, err := box.SealAppend(hdr, []byte(body), respAADFor(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	tr.recv = [][]byte{
+		reply(key, ids[0], "one"),
+		reply(cryptbox.Key{0xEE}, ids[1], "forged"),
+		{0x00, 0x01, 'k'},
+		reply(key, ids[2], "three"),
+	}
+	reps, err := client.Poll(0)
+	if !errors.Is(err, ErrSealedRequest) || !strings.Contains(err.Error(), "2 reply frames skipped") {
+		t.Fatalf("err = %v, want ErrSealedRequest counting 2 skipped", err)
+	}
+	if len(reps) != 2 || string(reps[0].Body) != "one" || string(reps[1].Body) != "three" {
+		t.Fatalf("replies = %+v, want one and three", reps)
+	}
+	if _, _, inflight := client.RetryStats(); inflight != 1 {
+		t.Fatalf("inflight = %d, want 1 (the forged reply's request)", inflight)
+	}
+	if reps, err := client.Poll(0); err != nil || len(reps) != 0 {
+		t.Fatalf("empty poll = %+v, %v", reps, err)
 	}
 }
 
@@ -468,7 +602,7 @@ func TestOrchestratedReplicaSetClosedLoop(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				batch = append(batch, PlaneRequest{Key: fmt.Sprintf("k%d", i%16), Body: []byte("r")})
 			}
-			if err := client.SendBatch(batch); err != nil {
+			if _, err := client.SendTenantIDs("", batch); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -528,7 +662,7 @@ func TestRetireUnderAdmissionNoLossNoDoubleServe(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		batch = append(batch, PlaneRequest{Key: fmt.Sprintf("rq-%02d", i), Body: []byte{byte(i)}})
 	}
-	if err := client.SendTenant("t", batch); err != nil {
+	if _, err := client.SendTenantIDs("t", batch); err != nil {
 		t.Fatal(err)
 	}
 	// Step 1: the tenant queue (MaxQueue 8) admits 8 and sheds 4 at
@@ -638,11 +772,11 @@ func requestFrame(t *testing.T, key cryptbox.Key, service string, body []byte) [
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed, err := box.Seal(body, reqAADFor(service))
+	f, err := box.SealAppend(frameHeader("k", frameMeta{}, 0, 0), body, reqAADFor(service))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return encodeFrame("k", sealed)
+	return f
 }
 
 // expectRejected steps the set and requires every polled frame to count

@@ -29,8 +29,8 @@ import (
 // ScenarioSpec literal (scenariolab.go, scenariocluster.go).
 
 // TenantLoad is one tenant's deterministic load schedule. The zero tenant
-// name sends untagged legacy frames (exactly the pre-tenant wire format);
-// named tenants send v2 frames the admission controller accounts.
+// name sends untagged load (frames carrying the default tenant ""); the
+// admission controller accounts each named tenant separately.
 type TenantLoad struct {
 	Tenant string
 	// BaseLoad is requests per tick (uniform profile), the mean arrival
@@ -553,12 +553,7 @@ func RunSpec(spec ScenarioSpec) (ScenarioResult, error) {
 			if len(reqs) == 0 {
 				continue
 			}
-			if g.load.Tenant == "" {
-				err = client.SendBatch(reqs)
-			} else {
-				err = client.SendTenant(g.load.Tenant, reqs)
-			}
-			if err != nil {
+			if _, err := client.SendTenantIDs(g.load.Tenant, reqs); err != nil {
 				return res, err
 			}
 			res.Sent += len(reqs)

@@ -301,11 +301,10 @@ func eventCovering(s Subscription) Event {
 func BenchmarkSealPublication(b *testing.B) {
 	w := NewWorkload(DefaultWorkload(4))
 	e := w.NextEvent()
-	var key cryptbox.Key
-	key[0] = 1
+	cli := testClient(b, "client", cryptbox.Key{1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SealPublication(key, "client", e); err != nil {
+		if _, err := cli.SealEventBytes(e); err != nil {
 			b.Fatal(err)
 		}
 	}

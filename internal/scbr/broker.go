@@ -388,7 +388,6 @@ func (b *Broker) DrainSealed(clientID string, token []byte) ([]Delivery, error) 
 // Client is an SCBR publisher/subscriber endpoint holding its session key.
 type Client struct {
 	ID      string
-	key     cryptbox.Key
 	box     *cryptbox.Box
 	aad     []byte // "delivery|<clientID>", precomputed once
 	pollSeq atomic.Uint64
@@ -436,7 +435,12 @@ func (h *ClientHello) Finish(brokerPub []byte) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{ID: h.clientID, key: key, box: box, aad: []byte("delivery|" + h.clientID)}, nil
+	return newClient(h.clientID, box), nil
+}
+
+// newClient wraps a session's AEAD context as the client half.
+func newClient(id string, box *cryptbox.Box) *Client {
+	return &Client{ID: id, box: box, aad: []byte("delivery|" + id)}
 }
 
 // Connect establishes a session with the broker. When svc and quoter are
@@ -459,8 +463,8 @@ func Connect(b *Broker, clientID string, svc *attest.Service, quoter *attest.Quo
 	return h.Finish(brokerPub)
 }
 
-// Subscribe seals and registers a subscription using the compact binary
-// wire form (the JSON SealSubscription path remains for external callers).
+// Subscribe seals and registers a subscription in the compact binary wire
+// form.
 func (c *Client) Subscribe(b *Broker, s Subscription) (uint64, error) {
 	buf := cryptbox.GetScratch()
 	defer func() { cryptbox.PutScratch(buf) }() // closure: buf may be regrown below

@@ -1,6 +1,7 @@
 package scbr
 
 import (
+	"encoding/json"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -114,10 +115,11 @@ func TestBrokerConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestBrokerBinaryAndJSONClientsInterop pins the dual wire form: a legacy
-// JSON envelope and a binary Client envelope land on one broker, and each
-// subscriber reads deliveries originating from either.
-func TestBrokerBinaryAndJSONClientsInterop(t *testing.T) {
+// TestBrokerRefusesJSONPlaintext: the binary codec is the broker's only
+// plaintext form. A JSON subscription or publication sealed under a valid
+// session key authenticates but is refused by Subscribe and Publish, and
+// nothing is indexed or delivered.
+func TestBrokerRefusesJSONPlaintext(t *testing.T) {
 	_, enc := brokerEnclave(t)
 	bk, err := NewBroker(enc, DefaultBrokerConfig())
 	if err != nil {
@@ -127,37 +129,40 @@ func TestBrokerBinaryAndJSONClientsInterop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pubBin, _ := Connect(bk, "pub-bin", nil, nil, attest.Policy{})
-	pubJSON, _ := Connect(bk, "pub-json", nil, nil, attest.Policy{})
-
-	// JSON subscription via the legacy path.
 	s, _ := NewSubscription(0, map[string]Interval{"v": iv(0, 10)})
-	env, err := SealSubscription(sub.key, sub.ID, s)
+	if _, err := sub.Subscribe(bk, s); err != nil {
+		t.Fatal(err)
+	}
+	pub, err := Connect(bk, "pub", nil, nil, attest.Policy{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bk.Subscribe(env); err != nil {
-		t.Fatal(err)
+	jsonEnvelope := func(c *Client, kind string, v any) Envelope {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := sealWith(c.box, c.ID, kind, raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env
 	}
-
-	// Binary publish.
-	if n, err := pubBin.Publish(bk, Event{Attrs: map[string]float64{"v": 5}, Payload: []byte("bin")}); err != nil || n != 1 {
+	if _, err := bk.Subscribe(jsonEnvelope(sub, KindSubscription, s)); err == nil {
+		t.Fatal("JSON subscription accepted")
+	}
+	if n := bk.Index().Count(); n != 1 {
+		t.Fatalf("index holds %d subscriptions, want 1", n)
+	}
+	ev := Event{Attrs: map[string]float64{"v": 6}, Payload: []byte("json")}
+	if n, err := bk.Publish(jsonEnvelope(pub, KindPublication, ev)); err == nil || n != 0 {
+		t.Fatalf("JSON publication: n=%d err=%v, want refusal", n, err)
+	}
+	if d := bk.Drain(sub.ID); len(d) != 0 {
+		t.Fatalf("JSON publication delivered %d times", len(d))
+	}
+	// The same event in the binary form still matches.
+	if n, err := pub.Publish(bk, ev); err != nil || n != 1 {
 		t.Fatalf("binary publish: n=%d err=%v", n, err)
-	}
-	// JSON publish via the legacy sealer.
-	jenv, err := SealPublication(pubJSON.key, pubJSON.ID, Event{Attrs: map[string]float64{"v": 6}, Payload: []byte("json")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := bk.Publish(jenv); err != nil || n != 1 {
-		t.Fatalf("json publish: n=%d err=%v", n, err)
-	}
-
-	events, err := sub.Receive(bk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) != 2 || string(events[0].Payload) != "bin" || string(events[1].Payload) != "json" {
-		t.Fatalf("received %+v", events)
 	}
 }

@@ -95,7 +95,11 @@ func TestBrokerRejectsForgedEnvelope(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An attacker who knows the client ID but not the session key.
-	forged, _ := SealPublication(cryptbox.Key{0xFF}, "c1", Event{Attrs: map[string]float64{"a": 1}})
+	sealed, err := testClient(t, "c1", cryptbox.Key{0xFF}).SealEventBytes(Event{Attrs: map[string]float64{"a": 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := Envelope{ClientID: "c1", Kind: KindPublication, Sealed: sealed}
 	if _, err := b.Publish(forged); !errors.Is(err, ErrBadEnvelope) {
 		t.Fatalf("err = %v, want ErrBadEnvelope", err)
 	}
@@ -106,11 +110,11 @@ func TestEnvelopesOpaqueOnWire(t *testing.T) {
 	b, _ := NewBroker(enc, DefaultBrokerConfig())
 	cli, _ := Connect(b, "c1", nil, nil, attest.Policy{})
 	s, _ := NewSubscription(0, map[string]Interval{"secret-attr": iv(1, 2)})
-	env, err := SealSubscription(cli.key, cli.ID, s)
+	sealed, err := cli.SealSubscriptionBytes(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(env.Sealed, []byte("secret-attr")) {
+	if bytes.Contains(sealed, []byte("secret-attr")) {
 		t.Fatal("subscription filter readable on the wire")
 	}
 }
@@ -134,10 +138,11 @@ func TestDeliveriesEncryptedPerSubscriber(t *testing.T) {
 	if len(stolen) != 1 {
 		t.Fatalf("queued %d deliveries", len(stolen))
 	}
-	if _, err := OpenDelivery(bob.key, stolen[0]); err == nil {
+	// Bob's session key fails even when he claims Alice's identity.
+	if _, err := newClient("alice", bob.box).OpenDeliverySealed(stolen[0].Sealed); err == nil {
 		t.Fatal("bob decrypted alice's delivery")
 	}
-	if _, err := OpenDelivery(alice.key, stolen[0]); err != nil {
+	if _, err := alice.OpenDeliverySealed(stolen[0].Sealed); err != nil {
 		t.Fatalf("alice cannot decrypt her own delivery: %v", err)
 	}
 }

@@ -2,20 +2,18 @@ package scbr
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
 )
 
-// Hot-path envelope codec. Publications and subscriptions crossing the
-// broker boundary thousands of times per second were JSON round-trips; the
-// binary form below is a flat length-prefixed layout that encodes in one
-// append pass and decodes without reflection. JSON remains the client-
-// facing representation (SealPublication / SealSubscription and every
-// test fixture): the decoder sniffs the first plaintext byte — binMagic
-// cannot open a JSON document — so both wire forms interoperate on one
-// broker, and deliveries echo whichever form the publisher used.
+// Envelope plaintext codec. Publications and subscriptions cross the
+// broker boundary thousands of times per second in one binary form: a
+// flat length-prefixed layout that encodes in one append pass and decodes
+// without reflection. It is the only plaintext the broker accepts (the
+// Client seal methods produce it); anything else — a JSON document
+// included — is refused before it reaches the index. Deliveries carry the
+// publisher's plaintext verbatim.
 //
 // Layout (little-endian):
 //
@@ -92,8 +90,8 @@ func binString(raw []byte, off int) (string, int, error) {
 	return string(raw[off : off+n]), off + n, nil
 }
 
-// decodeEventBinary decodes an appendEventBinary frame.
-func decodeEventBinary(raw []byte) (Event, error) {
+// decodeEvent decodes an appendEventBinary frame.
+func decodeEvent(raw []byte) (Event, error) {
 	if len(raw) < 6 || raw[0] != binMagic || raw[1] != binKindEvent {
 		return Event{}, fmt.Errorf("scbr: not a binary event frame")
 	}
@@ -135,15 +133,15 @@ func decodeEventBinary(raw []byte) (Event, error) {
 	return e, nil
 }
 
-// decodeSubscriptionBinary decodes an appendSubscriptionBinary frame.
-func decodeSubscriptionBinary(raw []byte) (Subscription, error) {
+// decodeSubscription decodes an appendSubscriptionBinary frame.
+func decodeSubscription(raw []byte) (Subscription, error) {
 	if len(raw) < 14 || raw[0] != binMagic || raw[1] != binKindSub {
 		return Subscription{}, fmt.Errorf("scbr: not a binary subscription frame")
 	}
 	s := Subscription{ID: binary.LittleEndian.Uint64(raw[2:])}
 	n := int(binary.LittleEndian.Uint32(raw[10:]))
 	off := 14
-	// Clamp the pre-size as in decodeEventBinary (≥18 bytes per predicate).
+	// Clamp the pre-size as in decodeEvent (≥18 bytes per predicate).
 	hint := n
 	if max := (len(raw) - off) / 18; hint > max {
 		hint = max
@@ -166,30 +164,6 @@ func decodeSubscriptionBinary(raw []byte) (Subscription, error) {
 	}
 	if off != len(raw) {
 		return Subscription{}, errTruncated // trailing garbage
-	}
-	return s, nil
-}
-
-// decodeEvent decodes a publication plaintext in either wire form.
-func decodeEvent(raw []byte) (Event, error) {
-	if len(raw) > 0 && raw[0] == binMagic {
-		return decodeEventBinary(raw)
-	}
-	var e Event
-	if err := json.Unmarshal(raw, &e); err != nil {
-		return Event{}, fmt.Errorf("scbr: decoding publication: %w", err)
-	}
-	return e, nil
-}
-
-// decodeSubscription decodes a subscription plaintext in either wire form.
-func decodeSubscription(raw []byte) (Subscription, error) {
-	if len(raw) > 0 && raw[0] == binMagic {
-		return decodeSubscriptionBinary(raw)
-	}
-	var s Subscription
-	if err := json.Unmarshal(raw, &s); err != nil {
-		return Subscription{}, fmt.Errorf("scbr: decoding subscription: %w", err)
 	}
 	return s, nil
 }

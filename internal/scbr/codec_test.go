@@ -1,7 +1,6 @@
 package scbr
 
 import (
-	"encoding/json"
 	"math"
 	"reflect"
 	"testing"
@@ -30,7 +29,7 @@ func TestCodecEventRoundtrip(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		e := w.NextEvent()
 		raw := mustEventBinary(t, e)
-		got, err := decodeEventBinary(raw)
+		got, err := decodeEvent(raw)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -55,7 +54,7 @@ func TestCodecSubscriptionRoundtrip(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		s := w.NextSubscription()
 		raw := mustSubBinary(t, s)
-		got, err := decodeSubscriptionBinary(raw)
+		got, err := decodeSubscription(raw)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -69,49 +68,12 @@ func TestCodecSubscriptionRoundtrip(t *testing.T) {
 // FullRange predicates) that encoding/json rejects outright.
 func TestCodecHandlesInfinities(t *testing.T) {
 	s := Subscription{ID: 7, Preds: []Predicate{{Attr: "any", Interval: FullRange()}}}
-	got, err := decodeSubscriptionBinary(mustSubBinary(t, s))
+	got, err := decodeSubscription(mustSubBinary(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !math.IsInf(got.Preds[0].Interval.Lo, -1) || !math.IsInf(got.Preds[0].Interval.Hi, 1) {
 		t.Fatalf("infinite bounds lost: %+v", got.Preds[0].Interval)
-	}
-	if _, err := json.Marshal(s); err == nil {
-		t.Log("note: json now accepts Inf?") // documents why binary matters here
-	}
-}
-
-// TestCodecJSONFallback: the sniffing decoders accept both wire forms, so
-// legacy JSON clients and binary clients share one broker.
-func TestCodecJSONFallback(t *testing.T) {
-	e := Event{Attrs: map[string]float64{"a": 1.5}, Payload: []byte("x")}
-	rawJSON, err := json.Marshal(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromJSON, err := decodeEvent(rawJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromBin, err := decodeEvent(mustEventBinary(t, e))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fromJSON.Attrs, fromBin.Attrs) {
-		t.Fatalf("wire forms decoded differently: %+v vs %+v", fromJSON, fromBin)
-	}
-	s := Subscription{ID: 3, Preds: []Predicate{{Attr: "a", Interval: Interval{Lo: 0, Hi: 2}}}}
-	rawJSON, _ = json.Marshal(s)
-	sj, err := decodeSubscription(rawJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := decodeSubscription(mustSubBinary(t, s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sj, sb) {
-		t.Fatalf("wire forms decoded differently: %+v vs %+v", sj, sb)
 	}
 }
 
@@ -119,25 +81,25 @@ func TestCodecTruncatedFrames(t *testing.T) {
 	e := Event{Attrs: map[string]float64{"alpha": 1}, Payload: []byte("payload")}
 	raw := mustEventBinary(t, e)
 	for cut := 1; cut < len(raw); cut++ {
-		if _, err := decodeEventBinary(raw[:cut]); err == nil {
+		if _, err := decodeEvent(raw[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
 	s := Subscription{ID: 1, Preds: []Predicate{{Attr: "alpha", Interval: Interval{Lo: 0, Hi: 1}}}}
 	rawS := mustSubBinary(t, s)
 	for cut := 1; cut < len(rawS); cut++ {
-		if _, err := decodeSubscriptionBinary(rawS[:cut]); err == nil {
+		if _, err := decodeSubscription(rawS[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
 }
 
-// FuzzDecodeEvent guards the binary decoder against panics on malformed
+// FuzzDecodeEvent guards the binary decoders against panics on malformed
 // frames (out-of-range lengths, truncations).
 func FuzzDecodeEvent(f *testing.F) {
 	f.Add(mustEventBinary(f, Event{Attrs: map[string]float64{"a": 1}, Payload: []byte("x")}))
 	f.Add([]byte{binMagic, binKindEvent, 0xFF, 0xFF, 0xFF, 0xFF})
-	f.Add([]byte(`{"attrs":{"a":1}}`))
+	f.Add(mustSubBinary(f, Subscription{ID: 9, Preds: []Predicate{{Attr: "a", Interval: Interval{Lo: 0, Hi: 1}}}}))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		_, _ = decodeEvent(raw)
 		_, _ = decodeSubscription(raw)
@@ -161,11 +123,11 @@ func TestCodecRejectsOversizeFields(t *testing.T) {
 // equal values.
 func TestCodecRejectsTrailingGarbage(t *testing.T) {
 	eRaw := mustEventBinary(t, Event{Attrs: map[string]float64{"a": 1}, Payload: []byte("p")})
-	if _, err := decodeEventBinary(append(eRaw, 0x00)); err == nil {
+	if _, err := decodeEvent(append(eRaw, 0x00)); err == nil {
 		t.Fatal("event frame with trailing byte accepted")
 	}
 	sRaw := mustSubBinary(t, Subscription{ID: 1, Preds: []Predicate{{Attr: "a", Interval: Interval{Lo: 0, Hi: 1}}}})
-	if _, err := decodeSubscriptionBinary(append(sRaw, 0x00)); err == nil {
+	if _, err := decodeSubscription(append(sRaw, 0x00)); err == nil {
 		t.Fatal("subscription frame with trailing byte accepted")
 	}
 }

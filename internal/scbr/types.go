@@ -13,7 +13,6 @@
 package scbr
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -205,36 +204,6 @@ const (
 	KindPublication  = "pub"
 )
 
-// SealSubscription encrypts a subscription for the broker under the
-// client's session key.
-func SealSubscription(key cryptbox.Key, clientID string, s Subscription) (Envelope, error) {
-	raw, err := json.Marshal(s)
-	if err != nil {
-		return Envelope{}, err
-	}
-	return seal(key, clientID, KindSubscription, raw)
-}
-
-// SealPublication encrypts an event for the broker.
-func SealPublication(key cryptbox.Key, clientID string, e Event) (Envelope, error) {
-	raw, err := json.Marshal(e)
-	if err != nil {
-		return Envelope{}, err
-	}
-	return seal(key, clientID, KindPublication, raw)
-}
-
-// seal builds a one-shot AEAD context for the bare-key legacy API. Session
-// keys are ephemeral, so they must not be interned process-wide
-// (cryptbox.CachedBox never evicts); hot paths hold a per-session Box.
-func seal(key cryptbox.Key, clientID, kind string, raw []byte) (Envelope, error) {
-	box, err := cryptbox.NewBox(key)
-	if err != nil {
-		return Envelope{}, err
-	}
-	return sealWith(box, clientID, kind, raw)
-}
-
 // sealWith is the hot-path seal using an already-interned AEAD context.
 func sealWith(box *cryptbox.Box, clientID, kind string, raw []byte) (Envelope, error) {
 	sealed, err := box.Seal(raw, []byte(kind+"|"+clientID))
@@ -244,17 +213,8 @@ func sealWith(box *cryptbox.Box, clientID, kind string, raw []byte) (Envelope, e
 	return Envelope{ClientID: clientID, Kind: kind, Sealed: sealed}, nil
 }
 
-// openEnvelope authenticates and decrypts an envelope with the client's
-// session key (one-shot context; see seal).
-func openEnvelope(key cryptbox.Key, env Envelope) ([]byte, error) {
-	box, err := cryptbox.NewBox(key)
-	if err != nil {
-		return nil, err
-	}
-	return openEnvelopeWith(box, env)
-}
-
-// openEnvelopeWith is openEnvelope with an already-interned AEAD context.
+// openEnvelopeWith authenticates and decrypts an envelope with the
+// session's interned AEAD context.
 func openEnvelopeWith(box *cryptbox.Box, env Envelope) ([]byte, error) {
 	raw, err := box.Open(env.Sealed, []byte(env.Kind+"|"+env.ClientID))
 	if err != nil {
@@ -267,19 +227,4 @@ func openEnvelopeWith(box *cryptbox.Box, env Envelope) ([]byte, error) {
 type Delivery struct {
 	SubscriberID string `json:"subscriber_id"`
 	Sealed       []byte `json:"sealed"`
-}
-
-// OpenDelivery decrypts a delivery at the subscriber. The payload is
-// whichever wire form the publisher used (binary or JSON) — the broker
-// forwards the decrypted publication bytes verbatim.
-func OpenDelivery(key cryptbox.Key, d Delivery) (Event, error) {
-	box, err := cryptbox.NewBox(key)
-	if err != nil {
-		return Event{}, err
-	}
-	raw, err := box.Open(d.Sealed, []byte("delivery|"+d.SubscriberID))
-	if err != nil {
-		return Event{}, ErrBadEnvelope
-	}
-	return decodeEvent(raw)
 }

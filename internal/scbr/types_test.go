@@ -1,6 +1,8 @@
 package scbr
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -137,37 +139,53 @@ func TestPropCoversTransitive(t *testing.T) {
 	}
 }
 
+// testClient builds a client half directly from a session key, standing in
+// for a completed handshake.
+func testClient(t testing.TB, id string, key cryptbox.Key) *Client {
+	t.Helper()
+	box, err := cryptbox.NewBox(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newClient(id, box)
+}
+
 func TestEnvelopeRoundTrip(t *testing.T) {
-	key := cryptbox.Key{1, 2, 3}
+	cli := testClient(t, "client-1", cryptbox.Key{1, 2, 3})
 	s := sub(t, 7, map[string]Interval{"temp": iv(0, 10)})
-	env, err := SealSubscription(key, "client-1", s)
+	sealed, err := cli.SealSubscriptionBytes(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := openEnvelope(key, env)
+	env := Envelope{ClientID: cli.ID, Kind: KindSubscription, Sealed: sealed}
+	raw, err := openEnvelopeWith(cli.box, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(raw) == 0 {
-		t.Fatal("empty envelope body")
+	got, err := decodeSubscription(raw)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if env.Kind != KindSubscription {
-		t.Fatalf("kind = %q", env.Kind)
+	if got.ID != s.ID || !reflect.DeepEqual(got.Preds, s.Preds) {
+		t.Fatalf("roundtrip = %+v, want %+v", got, s)
 	}
 }
 
 func TestEnvelopeRejectsWrongKeyAndKindSwap(t *testing.T) {
-	key := cryptbox.Key{1}
-	other := cryptbox.Key{2}
-	e := Event{Attrs: map[string]float64{"a": 1}}
-	env, _ := SealPublication(key, "c", e)
-	if _, err := openEnvelope(other, env); err == nil {
+	cli := testClient(t, "c", cryptbox.Key{1})
+	other := testClient(t, "c", cryptbox.Key{2})
+	sealed, err := cli.SealEventBytes(Event{Attrs: map[string]float64{"a": 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := Envelope{ClientID: cli.ID, Kind: KindPublication, Sealed: sealed}
+	if _, err := openEnvelopeWith(other.box, env); err == nil {
 		t.Fatal("wrong key opened envelope")
 	}
 	// Re-labelling a publication as a subscription must fail (AAD binds
 	// the kind).
 	env.Kind = KindSubscription
-	if _, err := openEnvelope(key, env); err == nil {
+	if _, err := openEnvelopeWith(cli.box, env); err == nil {
 		t.Fatal("kind swap undetected")
 	}
 }
@@ -175,19 +193,21 @@ func TestEnvelopeRejectsWrongKeyAndKindSwap(t *testing.T) {
 func TestDeliveryRoundTripAndTamper(t *testing.T) {
 	key := cryptbox.Key{5}
 	box, _ := cryptbox.NewBox(key)
-	payload := []byte(`{"attrs":{"a":1},"payload":"eA=="}`)
-	sealed, _ := box.Seal(payload, []byte("delivery|sub-1"))
-	d := Delivery{SubscriberID: "sub-1", Sealed: sealed}
-	e, err := OpenDelivery(key, d)
+	payload, err := appendEventBinary(nil, Event{Attrs: map[string]float64{"a": 1}, Payload: []byte("x")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Attrs["a"] != 1 {
-		t.Fatal("delivery decode wrong")
+	sealed, _ := box.Seal(payload, []byte("delivery|sub-1"))
+	e, err := testClient(t, "sub-1", key).OpenDeliverySealed(sealed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	d.SubscriberID = "sub-2" // redirecting a delivery must break auth
-	if _, err := OpenDelivery(key, d); err == nil {
-		t.Fatal("redirected delivery accepted")
+	if e.Attrs["a"] != 1 || string(e.Payload) != "x" {
+		t.Fatalf("delivery decode wrong: %+v", e)
+	}
+	// Redirecting a delivery to another subscriber must break auth.
+	if _, err := testClient(t, "sub-2", key).OpenDeliverySealed(sealed); !errors.Is(err, ErrBadEnvelope) {
+		t.Fatalf("redirected delivery: err = %v, want ErrBadEnvelope", err)
 	}
 }
 

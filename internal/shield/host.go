@@ -66,13 +66,16 @@ func (h *Host) SetCorruption(fn func(path string, idx int, rec []byte) []byte) {
 	h.corrupt = fn
 }
 
+// causeSyscall is the ledger cause one serviced syscall is charged under.
+var causeSyscall = sim.RegisterCause("syscall")
+
 // SyscallCount returns the number of syscalls serviced.
-func (h *Host) SyscallCount() uint64 { return h.ledger.Events("syscall") }
+func (h *Host) SyscallCount() uint64 { return h.ledger.CauseEvents(causeSyscall) }
 
 // KernelCycles returns total cycles spent in the simulated kernel.
 func (h *Host) KernelCycles() sim.Cycles { return h.ledger.Total() }
 
-func (h *Host) charge() { h.ledger.Charge("syscall", h.KernelCost) }
+func (h *Host) charge() { h.ledger.ChargeCause(causeSyscall, h.KernelCost) }
 
 // Open opens (creating if needed) the file at path and returns a descriptor.
 func (h *Host) Open(path string) (int, error) {

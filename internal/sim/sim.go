@@ -9,10 +9,10 @@
 // regenerate the paper's figures deterministically.
 //
 // Accounting is organized around typed Causes: small integers interned once
-// per process, indexing fixed-size arrays in Counter. The hot path (the
-// enclave memory model charging per-cache-line costs) therefore never hashes
-// a string or allocates; the string-keyed Charge/Cost/Events/Snapshot API
-// remains as a compatibility shim over the same ledger.
+// per process, indexing fixed-size arrays in Counter. Callers register
+// their causes once (RegisterCause) and charge and query by Cause, so the
+// hot path (the enclave memory model charging per-cache-line costs) never
+// hashes a string or allocates.
 package sim
 
 import (
@@ -153,13 +153,6 @@ func (c Cause) String() string {
 	return fmt.Sprintf("Cause(%d)", uint32(c))
 }
 
-// registeredCauses returns the number of causes registered so far.
-func registeredCauses() int {
-	causeReg.RLock()
-	defer causeReg.RUnlock()
-	return len(causeReg.names)
-}
-
 // Counter accumulates per-cause cycle costs: a general-purpose accounting
 // ledger for attributing simulated time to causes (cache misses, page
 // faults, syscalls, ...). The zero value is ready to use. The ledger is a
@@ -193,13 +186,6 @@ func (a *Counter) ChargeCauseN(c Cause, total Cycles, n uint64) {
 	a.mu.Unlock()
 }
 
-// Charge adds cost cycles under the given cause name and counts one event.
-// It is the string-keyed compatibility shim over ChargeCause; hot paths
-// should register their causes once and use the typed API.
-func (a *Counter) Charge(cause string, cost Cycles) {
-	a.ChargeCause(RegisterCause(cause), cost)
-}
-
 // Total returns the sum of all charged cycles.
 func (a *Counter) Total() Cycles {
 	a.mu.Lock()
@@ -221,24 +207,6 @@ func (a *Counter) CauseEvents(c Cause) uint64 {
 	return a.events[c]
 }
 
-// Cost returns the cycles charged under the named cause.
-func (a *Counter) Cost(cause string) Cycles {
-	c, ok := LookupCause(cause)
-	if !ok {
-		return 0
-	}
-	return a.CauseCost(c)
-}
-
-// Events returns how many times the named cause was charged.
-func (a *Counter) Events(cause string) uint64 {
-	c, ok := LookupCause(cause)
-	if !ok {
-		return 0
-	}
-	return a.CauseEvents(c)
-}
-
 // Reset zeroes the ledger.
 func (a *Counter) Reset() {
 	a.mu.Lock()
@@ -246,21 +214,6 @@ func (a *Counter) Reset() {
 	a.costs = [MaxCauses]Cycles{}
 	a.events = [MaxCauses]uint64{}
 	a.mu.Unlock()
-}
-
-// Snapshot returns a copy of the per-cause cost map, keyed by cause name.
-// Only causes charged at least once on this counter appear.
-func (a *Counter) Snapshot() map[string]Cycles {
-	n := registeredCauses()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[string]Cycles)
-	for i := 0; i < n; i++ {
-		if a.events[i] > 0 {
-			out[Cause(i).String()] = a.costs[i]
-		}
-	}
-	return out
 }
 
 // NewRand returns a deterministic pseudo-random source for the given seed.

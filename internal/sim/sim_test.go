@@ -71,51 +71,45 @@ func TestCyclesDuration(t *testing.T) {
 
 func TestCounterChargeAndQuery(t *testing.T) {
 	var a Counter
-	a.Charge("fault", 100)
-	a.Charge("fault", 50)
-	a.Charge("miss", 7)
+	fault, miss := RegisterCause("test-fault"), RegisterCause("test-miss")
+	absent := RegisterCause("test-absent")
+	a.ChargeCause(fault, 100)
+	a.ChargeCause(fault, 50)
+	a.ChargeCause(miss, 7)
 	if got := a.Total(); got != 157 {
 		t.Fatalf("Total = %d, want 157", got)
 	}
-	if got := a.Cost("fault"); got != 150 {
-		t.Fatalf("Cost(fault) = %d, want 150", got)
+	if got := a.CauseCost(fault); got != 150 {
+		t.Fatalf("CauseCost(fault) = %d, want 150", got)
 	}
-	if got := a.Events("fault"); got != 2 {
-		t.Fatalf("Events(fault) = %d, want 2", got)
+	if got := a.CauseEvents(fault); got != 2 {
+		t.Fatalf("CauseEvents(fault) = %d, want 2", got)
 	}
-	if got := a.Events("absent"); got != 0 {
-		t.Fatalf("Events(absent) = %d, want 0", got)
+	if got := a.CauseEvents(absent); got != 0 {
+		t.Fatalf("CauseEvents(absent) = %d, want 0", got)
 	}
 }
 
 func TestCounterReset(t *testing.T) {
 	var a Counter
-	a.Charge("x", 9)
+	x := RegisterCause("test-reset")
+	a.ChargeCause(x, 9)
 	a.Reset()
-	if a.Total() != 0 || a.Cost("x") != 0 || a.Events("x") != 0 {
+	if a.Total() != 0 || a.CauseCost(x) != 0 || a.CauseEvents(x) != 0 {
 		t.Fatal("Reset did not clear the ledger")
-	}
-}
-
-func TestCounterSnapshotIsCopy(t *testing.T) {
-	var a Counter
-	a.Charge("x", 3)
-	snap := a.Snapshot()
-	snap["x"] = 999
-	if got := a.Cost("x"); got != 3 {
-		t.Fatalf("mutating snapshot changed counter: Cost(x) = %d", got)
 	}
 }
 
 func TestCounterConcurrent(t *testing.T) {
 	var a Counter
+	c := RegisterCause("test-concurrent")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				a.Charge("c", 2)
+				a.ChargeCause(c, 2)
 			}
 		}()
 	}
@@ -174,16 +168,17 @@ func TestPropClockAdvanceSums(t *testing.T) {
 }
 
 func TestPropCounterTotalEqualsSumOfCauses(t *testing.T) {
+	ca, cb := RegisterCause("test-prop-a"), RegisterCause("test-prop-b")
 	f := func(costs []uint16) bool {
 		var a Counter
 		for i, cst := range costs {
-			cause := "a"
+			cause := ca
 			if i%2 == 1 {
-				cause = "b"
+				cause = cb
 			}
-			a.Charge(cause, Cycles(cst))
+			a.ChargeCause(cause, Cycles(cst))
 		}
-		return a.Total() == a.Cost("a")+a.Cost("b")
+		return a.Total() == a.CauseCost(ca)+a.CauseCost(cb)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

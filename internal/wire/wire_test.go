@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -389,6 +390,27 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	if _, err := DecodeBatch(binary.BigEndian.AppendUint32(nil, 1<<31)); err == nil {
 		t.Fatal("forged count should fail")
 	}
+}
+
+// FuzzDecodeBatch: no body panics DecodeBatch, and every body it accepts
+// re-encodes byte for byte through EncodeBatch.
+func FuzzDecodeBatch(f *testing.F) {
+	f.Add(EncodeBatch(nil))
+	f.Add(EncodeBatch([][]byte{{}, {1}, {2, 3}}))
+	f.Add(binary.BigEndian.AppendUint32(nil, 1<<31))
+	f.Add(append(EncodeBatch([][]byte{{0, 1, 2}}), 0xFF))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		frames, err := DecodeBatch(b)
+		if err != nil {
+			if !errors.Is(err, ErrBadBatch) {
+				t.Fatalf("err = %v, want ErrBadBatch", err)
+			}
+			return
+		}
+		if re := EncodeBatch(frames); !bytes.Equal(re, b) {
+			t.Fatalf("re-encode = %x, want %x", re, b)
+		}
+	})
 }
 
 // scbrFixture boots a broker enclave with a provisioned quoting enclave

@@ -18,14 +18,18 @@
 #                                protected-file + shielded-syscall layer
 #                                now on the durable WAL/snapshot path:
 #                                fsshield/shield/sconert)
-# 6. bench gate                 (scripts/bench_smoke.sh reruns every bench
+# 6. fuzz smoke                 (each Fuzz* target of the untrusted-input
+#                                decoders runs for 5 s: WAL record,
+#                                snapshot chain, SCBR plaintext, transfer
+#                                manifest, plane frame, wire frame batch)
+# 7. bench gate                 (scripts/bench_smoke.sh reruns every bench
 #                                driver, the Figure 3 sweep and the Go
 #                                benchmarks from the code under test; each
 #                                driver enforces its own invariants, and
 #                                cmd/bench-check requires every
 #                                deterministic metric of that fresh output
 #                                to match scripts/bench_baseline.json)
-# 7. golden-drift gate          (regenerating every golden in a scratch
+# 8. golden-drift gate          (regenerating every golden in a scratch
 #                                copy must reproduce the committed files —
 #                                catches stale goldens)
 set -euo pipefail
@@ -72,6 +76,19 @@ RACE_PKGS=(
 )
 echo "ci: go test -race ${RACE_PKGS[*]}" >&2
 go test -race "${RACE_PKGS[@]}"
+
+FUZZ_TARGETS=(
+    ./internal/kvstore:FuzzDecodeWALRecord
+    ./internal/kvstore:FuzzRecoverSnapshotChain
+    ./internal/scbr:FuzzDecodeEvent
+    ./internal/transfer:FuzzDecodeManifest
+    ./internal/microsvc:FuzzDecodeFrame
+    ./internal/wire:FuzzDecodeBatch
+)
+for t in "${FUZZ_TARGETS[@]}"; do
+    echo "ci: fuzz ${t#*:} (${t%%:*}, 5s)" >&2
+    go test -run '^$' -fuzz "^${t#*:}\$" -fuzztime 5s "${t%%:*}"
+done
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
