@@ -23,7 +23,7 @@
 //   - core — the top-level platform API gluing cloud and owner sides.
 //
 // The benchmarks in bench_test.go regenerate every quantitative statement
-// of the paper; see EXPERIMENTS.md for paper-vs-measured results.
+// of the paper.
 //
 // # Cost model & performance
 //
@@ -47,11 +47,12 @@
 //     bit-identical to per-line charging — golden tests in internal/enclave
 //     and internal/scbr pin this equivalence exactly.
 //
-//   - Bulk access APIs. AccessRange (contiguous), AccessN (scattered, e.g.
-//     every record of a bucket) and AccessStride (page warm-up loops) let
-//     data structures charge a whole node, payload or batch under a single
-//     platform-lock acquisition and a single commit. The SCBR index,
-//     kvstore, fsshield and eventbus layers all charge through these.
+//   - Bulk access APIs. Access (one contiguous range), AccessN (scattered,
+//     e.g. every record of a bucket) and Span (an arbitrary sequence, e.g.
+//     one index traversal) let data structures charge a whole node,
+//     payload or batch under a single platform-lock acquisition and a
+//     single commit. The SCBR index, kvstore, fsshield and eventbus layers
+//     all charge through these.
 //
 //   - An O(ways) LLC. The set-associative cache keeps flat tag/last-use
 //     arrays; a hit updates one stamp instead of memmoving the set into
@@ -136,12 +137,11 @@
 //     ideal shard-per-core machine realises.
 //
 // The hot envelope path pairs this with a compact binary publication/
-// subscription codec (JSON remains the client-facing form; the broker
-// sniffs both), interned per-session AEAD contexts (cryptbox.CachedBox),
-// pooled scratch buffers, and delivery sealing outside every broker lock.
-// The event bus gained PublishBatch/PollBatch (one mutex acquisition per
-// batch, one seal per message however many subscribers fan out) and prunes
-// per-subscriber lease state on Subscriber.Close.
+// subscription codec (the one plaintext form), one AEAD context per broker
+// session, pooled scratch buffers, and delivery sealing outside every
+// broker lock. The event bus has PublishBatch/PollBatch (one mutex
+// acquisition per batch, one seal per message however many subscribers fan
+// out) and prunes a topic's queues when its last subscriber closes.
 //
 // # Application plane
 //

@@ -15,10 +15,10 @@ import (
 // cache, MEE and paging costs into its ledger and advances the platform
 // clock.
 //
-// Accounting is batched: each Access (or bulk AccessN/AccessStride) walks
-// its cache lines accumulating per-cause event counts in locals and commits
-// once — one ledger charge and one clock advance per call instead of per
-// line. The committed totals are bit-identical to per-line charging because
+// Accounting is batched: each Access, bulk AccessN or Span walks its cache
+// lines accumulating per-cause event counts in locals and commits once —
+// one ledger charge and one clock advance per call instead of per line.
+// The committed totals are bit-identical to per-line charging because
 // every per-event cost is a fixed platform constant.
 type Memory struct {
 	p   *Platform
@@ -143,41 +143,14 @@ func (m *Memory) commitLocked(st *acct) {
 }
 
 // Access simulates a read (write=false) or write (write=true) of size bytes
-// at the simulated address addr.
+// at the simulated address addr, charging all touched lines and pages in a
+// single batched commit. Reads and writes cost the same in this model.
 func (m *Memory) Access(addr uint64, size int, write bool) {
-	m.AccessRange(addr, size, write)
-}
-
-// AccessRange simulates one contiguous access of size bytes at addr,
-// charging all touched lines and pages in a single batched commit. Reads
-// and writes cost the same in this model.
-func (m *Memory) AccessRange(addr uint64, size int, write bool) {
 	if size <= 0 {
 		return
 	}
 	_ = write
 	var st acct
-	m.p.mu.Lock()
-	m.accessLocked(&st, addr, size)
-	m.commitLocked(&st)
-	m.p.mu.Unlock()
-}
-
-// AccessRangeCPU is AccessRange plus cpu cycles of pure computation folded
-// into the same commit — the shape of one data-structure probe (read the
-// node, pay the comparison), charged with a single lock round-trip.
-func (m *Memory) AccessRangeCPU(addr uint64, size int, write bool, cpu sim.Cycles) {
-	if size <= 0 {
-		if cpu > 0 {
-			m.ChargeCPU(cpu)
-		}
-		return
-	}
-	_ = write
-	var st acct
-	if cpu > 0 {
-		st.cpu, st.cpuN = cpu, 1
-	}
 	m.p.mu.Lock()
 	m.accessLocked(&st, addr, size)
 	m.commitLocked(&st)
@@ -382,25 +355,6 @@ func (m *Memory) AccessN(addrs []uint64, size int, write bool) {
 	m.p.mu.Lock()
 	for _, addr := range addrs {
 		m.accessLocked(&st, addr, size)
-	}
-	m.commitLocked(&st)
-	m.p.mu.Unlock()
-}
-
-// AccessStride simulates n accesses of size bytes at base, base+stride,
-// base+2*stride, ... under a single lock acquisition and accounting commit.
-// It is the bulk form of the classic touch-every-page warm-up loop.
-func (m *Memory) AccessStride(base, stride uint64, n, size int, write bool) {
-	if size <= 0 || n <= 0 {
-		return
-	}
-	_ = write
-	var st acct
-	m.p.mu.Lock()
-	addr := base
-	for i := 0; i < n; i++ {
-		m.accessLocked(&st, addr, size)
-		addr += stride
 	}
 	m.commitLocked(&st)
 	m.p.mu.Unlock()

@@ -9,7 +9,7 @@ import (
 // TestConcurrentMemoryViews hammers one platform from several goroutines —
 // two enclave views, two untrusted views, plus readers and resetters — so
 // `go test -race ./internal/enclave` exercises the whole accounting path:
-// batched Access commits, bulk AccessN/AccessStride, fault counting, ledger
+// batched Access commits, bulk AccessN, spans, fault counting, ledger
 // snapshots and the single-lock reset discipline.
 func TestConcurrentMemoryViews(t *testing.T) {
 	p := smallPlatform()
@@ -46,7 +46,11 @@ func TestConcurrentMemoryViews(t *testing.T) {
 					addrs[k] = base + uint64((j+k*37)%8192)*32
 				}
 				mem.AccessN(addrs, 16, false)
-				mem.AccessStride(base, 4096, 4, 8, true)
+				sp := mem.BeginSpan()
+				for k := uint64(0); k < 4; k++ {
+					sp.Access(base+k*4096, 8, true)
+				}
+				sp.End()
 				mem.ChargeCPU(5)
 			}
 		}(i, e, arenas[i].Alloc(512<<10))

@@ -33,6 +33,16 @@ func snapshotEnclave(t testing.TB) (*Platform, *Enclave, uint64) {
 	return p, e, e.Base() + (8 << 10)
 }
 
+// warmPages reads 64 bytes at the start of n consecutive 4 KiB pages in one
+// span — the touch-every-page warm-up loop.
+func warmPages(mem *Memory, base uint64, n int) {
+	sp := mem.BeginSpan()
+	for i := 0; i < n; i++ {
+		sp.Access(base+uint64(i)*4096, 64, false)
+	}
+	sp.End()
+}
+
 // TestSnapshotSpanChargesWithoutMutating: snapshot probes charge cycles and
 // faults into the view's ledger but leave every piece of platform state —
 // EPC residency, cache contents, CLOCK/LRU metadata — untouched, verified
@@ -43,7 +53,7 @@ func TestSnapshotSpanChargesWithoutMutating(t *testing.T) {
 		p, e, base := snapshotEnclave(t)
 		mem := e.Memory()
 		// Deterministic warm-up: stride over half the range.
-		mem.AccessStride(base, 4096, 256, 64, false)
+		warmPages(mem, base, 256)
 
 		if withSnapshots {
 			resBefore := p.EPCResidentPages()
@@ -67,8 +77,8 @@ func TestSnapshotSpanChargesWithoutMutating(t *testing.T) {
 
 		// The follow-up mutating sequence must cost the same on both twins.
 		c1 := uint64(mem.Cycles())
-		mem.AccessStride(base, 4096, 512, 64, false)
-		mem.AccessRange(base+(2<<20), 8192, true)
+		warmPages(mem, base, 512)
+		mem.Access(base+(2<<20), 8192, true)
 		return uint64(mem.Cycles()) - c1, snapCost, snapFaults
 	}
 
@@ -93,7 +103,7 @@ func TestSnapshotSpanDeterministicTotals(t *testing.T) {
 	run := func(workers int) uint64 {
 		_, e, base := snapshotEnclave(t)
 		mem := e.Memory()
-		mem.AccessStride(base, 4096, 256, 64, false)
+		warmPages(mem, base, 256)
 		mem.ResetAccounting()
 		const ops = 64
 		var wg sync.WaitGroup

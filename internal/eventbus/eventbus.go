@@ -28,15 +28,14 @@ type Message struct {
 
 // Errors returned by the bus and endpoints.
 var (
-	ErrNoTopic  = errors.New("eventbus: topic does not exist")
 	ErrBadSeal  = errors.New("eventbus: message failed authentication")
 	ErrClosed   = errors.New("eventbus: bus closed")
 	ErrBackPres = errors.New("eventbus: subscriber queue full")
 )
 
 // QueueLimit bounds each subscriber queue; the bus applies back-pressure
-// beyond it rather than growing unboundedly. Individual topics can tighten
-// or relax the bound with SetQueueLimit.
+// beyond it rather than growing unboundedly. A queue may hold exactly
+// QueueLimit messages; the publish that would exceed it is rejected whole.
 const QueueLimit = 4096
 
 // Bus is the untrusted message store-and-forward fabric.
@@ -44,8 +43,6 @@ type Bus struct {
 	mu     sync.Mutex
 	seqs   map[string]uint64
 	queues map[string]map[int][]Message // topic -> subscriber handle -> queue
-	leased map[string]map[int]map[uint64]bool
-	limits map[string]int // topic -> queue limit override (0/absent = QueueLimit)
 	nextID int
 	closed bool
 }
@@ -56,34 +53,6 @@ func New() *Bus {
 		seqs:   make(map[string]uint64),
 		queues: make(map[string]map[int][]Message),
 	}
-}
-
-// SetQueueLimit overrides the per-subscriber queue bound of one topic
-// (limit <= 0 restores the default QueueLimit). The limit is topology
-// configuration: it persists across subscriber churn, including the
-// last-unsubscriber prune of the topic's queues. A queue may hold exactly
-// `limit` messages; the publish that would exceed it is rejected whole
-// (all-or-nothing, like the default bound).
-func (b *Bus) SetQueueLimit(topic string, limit int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if limit <= 0 {
-		delete(b.limits, topic)
-		return
-	}
-	if b.limits == nil {
-		b.limits = make(map[string]int)
-	}
-	b.limits[topic] = limit
-}
-
-// queueLimit returns the effective per-subscriber bound of one topic.
-// Caller holds b.mu.
-func (b *Bus) queueLimit(topic string) int {
-	if lim, ok := b.limits[topic]; ok {
-		return lim
-	}
-	return QueueLimit
 }
 
 // Close shuts the bus down; further operations fail.
@@ -127,10 +96,9 @@ func (b *Bus) publishBatch(topic string, sealed [][]byte) ([]uint64, error) {
 	if b.closed {
 		return nil, ErrClosed
 	}
-	lim := b.queueLimit(topic)
 	qs := b.queues[topic]
 	for id, q := range qs {
-		if len(q)+len(sealed) > lim {
+		if len(q)+len(sealed) > QueueLimit {
 			return nil, fmt.Errorf("%w: topic %s subscriber %d", ErrBackPres, topic, id)
 		}
 	}
@@ -152,15 +120,8 @@ func (b *Bus) publishBatch(topic string, sealed [][]byte) ([]uint64, error) {
 	return seqs, nil
 }
 
-// drain pops all queued messages of a subscription handle.
-func (b *Bus) drain(topic string, id int) []Message {
-	return b.drainN(topic, id, 0)
-}
-
 // drainN pops up to max queued messages (0 = all) of a subscription handle
-// under one lock acquisition. Like drain, it pops messages regardless of
-// outstanding leases — mixing Lease with Receive/PollBatch on one handle
-// is unsupported.
+// under one lock acquisition.
 func (b *Bus) drainN(topic string, id int, max int) []Message {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -176,10 +137,10 @@ func (b *Bus) drainN(topic string, id int, max int) []Message {
 	return out
 }
 
-// unsubscribe removes a subscription handle, pruning its queue and leases.
-// When the topic's last subscriber leaves, the topic's queue and lease maps
-// are dropped entirely (sequence numbers persist so a re-created topic
-// never regresses and replay protection holds across churn).
+// unsubscribe removes a subscription handle and its queue. When the
+// topic's last subscriber leaves, the topic's queue map is dropped entirely
+// (sequence numbers persist so a re-created topic never regresses and
+// replay protection holds across churn).
 func (b *Bus) unsubscribe(topic string, id int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -189,88 +150,6 @@ func (b *Bus) unsubscribe(topic string, id int) {
 			delete(b.queues, topic)
 		}
 	}
-	b.pruneLease(topic, id)
-}
-
-// pruneLease drops the lease map of one subscriber handle and any empty
-// enclosing maps. Caller holds b.mu.
-func (b *Bus) pruneLease(topic string, id int) {
-	l := b.leased[topic]
-	if l == nil {
-		return
-	}
-	delete(l, id)
-	if len(l) == 0 {
-		delete(b.leased, topic)
-	}
-}
-
-// peek returns up to max queued messages, marking them leased (still
-// queued until acked). Lease maps are created only when a message is
-// actually leased, so peeking an empty queue leaves no bookkeeping behind
-// (e.g. from a stale handle after Close).
-func (b *Bus) peek(topic string, id int, max int) []Message {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	mine := b.leased[topic][id]
-	var out []Message
-	for _, m := range b.queues[topic][id] {
-		if max > 0 && len(out) >= max {
-			break
-		}
-		if mine[m.Seq] {
-			continue
-		}
-		if mine == nil {
-			if b.leased == nil {
-				b.leased = make(map[string]map[int]map[uint64]bool)
-			}
-			if b.leased[topic] == nil {
-				b.leased[topic] = make(map[int]map[uint64]bool)
-			}
-			mine = make(map[uint64]bool)
-			b.leased[topic][id] = mine
-		}
-		mine[m.Seq] = true
-		out = append(out, m)
-	}
-	return out
-}
-
-// ack drops a leased message permanently, pruning emptied lease maps so a
-// subscriber that consumed everything holds no residual bookkeeping.
-func (b *Bus) ack(topic string, id int, seq uint64) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	q := b.queues[topic][id]
-	for i, m := range q {
-		if m.Seq == seq {
-			b.queues[topic][id] = append(q[:i:i], q[i+1:]...)
-			if l := b.leased[topic]; l != nil && l[id] != nil {
-				delete(l[id], seq)
-				if len(l[id]) == 0 {
-					b.pruneLease(topic, id)
-				}
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// nack releases a lease so the message is delivered again.
-func (b *Bus) nack(topic string, id int, seq uint64) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	l := b.leased[topic]
-	if l == nil || l[id] == nil || !l[id][seq] {
-		return false
-	}
-	delete(l[id], seq)
-	if len(l[id]) == 0 {
-		b.pruneLease(topic, id)
-	}
-	return true
 }
 
 // depth returns the queued message count of one subscription handle.
@@ -334,7 +213,7 @@ func (st *acctStage) chargeCopy(total int, write bool) {
 		if n > stageBytes {
 			n = stageBytes
 		}
-		st.mem.AccessRange(st.addr, n, write)
+		st.mem.Access(st.addr, n, write)
 		total -= n
 	}
 }
@@ -452,17 +331,16 @@ func OpenSubscriber(cfg EndpointConfig) (*Subscriber, error) {
 }
 
 // Depth reports this subscriber's pending-queue length in one bus-lock
-// acquisition, without draining, peeking or leasing anything — the
-// monitoring hook the orchestrator samples between serve batches. Leased
-// messages still count: they remain queued until acked.
+// acquisition, without draining anything — the monitoring hook the
+// orchestrator samples between serve batches.
 func (s *Subscriber) Depth() int {
 	return s.bus.depth(s.topic, s.handle)
 }
 
-// Close unregisters the subscription, releasing its queue and any lease
-// bookkeeping on the bus. When the topic's last subscriber closes, the
-// topic's queue and lease maps are pruned entirely — previously they
-// accumulated forever under subscriber churn. Safe to call more than once.
+// Close unregisters the subscription, releasing its queue on the bus. When
+// the topic's last subscriber closes, the topic's queue map is pruned
+// entirely, so subscriber churn cannot grow the bus. Safe to call more
+// than once.
 func (s *Subscriber) Close() {
 	s.bus.unsubscribe(s.topic, s.handle)
 }
@@ -471,27 +349,7 @@ func (s *Subscriber) Close() {
 // any tampered message and on sequence regression (a bus replaying or
 // reordering traffic).
 func (s *Subscriber) Receive() ([][]byte, error) {
-	msgs := s.bus.drain(s.topic, s.handle)
-	if s.stage != nil {
-		total := 0
-		for _, m := range msgs {
-			total += len(m.Sealed)
-		}
-		s.stage.chargeCopy(total, false)
-	}
-	out := make([][]byte, 0, len(msgs))
-	for _, m := range msgs {
-		if m.Seq <= s.lastSeq {
-			return nil, fmt.Errorf("%w: sequence %d replayed", ErrBadSeal, m.Seq)
-		}
-		body, err := s.box.Open(m.Sealed, s.aad)
-		if err != nil {
-			return nil, fmt.Errorf("%w: topic %s seq %d", ErrBadSeal, m.Topic, m.Seq)
-		}
-		s.lastSeq = m.Seq
-		out = append(out, body)
-	}
-	return out, nil
+	return s.PollBatch(0)
 }
 
 // PollBatch is Receive bounded to max messages (0 = all): it consumes up
@@ -500,8 +358,7 @@ func (s *Subscriber) Receive() ([][]byte, error) {
 // without holding everything the bus buffered in memory at once. As with
 // Receive, an authentication or replay failure is fatal for the stream:
 // the remaining drained messages are discarded, because a bus caught
-// tampering or reordering cannot be trusted to deliver the rest. Consumers
-// that must survive poison messages use Lease/Ack instead.
+// tampering or reordering cannot be trusted to deliver the rest.
 func (s *Subscriber) PollBatch(max int) ([][]byte, error) {
 	msgs := s.bus.drainN(s.topic, s.handle, max)
 	if s.stage != nil {
@@ -524,44 +381,4 @@ func (s *Subscriber) PollBatch(max int) ([][]byte, error) {
 		out = append(out, body)
 	}
 	return out, nil
-}
-
-// Pending is one unacknowledged message leased to a consumer.
-type Pending struct {
-	Seq  uint64
-	Body []byte
-}
-
-// Lease authenticates, decrypts and returns up to max pending messages
-// without consuming them: each must be Acked once processed, or Nacked to
-// requeue — the at-least-once consumption mode micro-services use when a
-// crash between receive and process must not lose grid telemetry.
-func (s *Subscriber) Lease(max int) ([]Pending, error) {
-	msgs := s.bus.peek(s.topic, s.handle, max)
-	if s.stage != nil {
-		total := 0
-		for _, m := range msgs {
-			total += len(m.Sealed)
-		}
-		s.stage.chargeCopy(total, false)
-	}
-	out := make([]Pending, 0, len(msgs))
-	for _, m := range msgs {
-		body, err := s.box.Open(m.Sealed, s.aad)
-		if err != nil {
-			return nil, fmt.Errorf("%w: topic %s seq %d", ErrBadSeal, m.Topic, m.Seq)
-		}
-		out = append(out, Pending{Seq: m.Seq, Body: body})
-	}
-	return out, nil
-}
-
-// Ack removes a leased message permanently.
-func (s *Subscriber) Ack(seq uint64) bool {
-	return s.bus.ack(s.topic, s.handle, seq)
-}
-
-// Nack returns a leased message to the queue for redelivery.
-func (s *Subscriber) Nack(seq uint64) bool {
-	return s.bus.nack(s.topic, s.handle, seq)
 }

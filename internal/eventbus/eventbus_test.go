@@ -245,85 +245,6 @@ func TestDepthMonitoring(t *testing.T) {
 	}
 }
 
-func TestLeaseAckConsumes(t *testing.T) {
-	bus := New()
-	p, s := topicPair(t, bus, "t")
-	for i := 0; i < 3; i++ {
-		if _, err := p.Publish([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pending, err := s.Lease(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pending) != 2 {
-		t.Fatalf("leased %d, want 2", len(pending))
-	}
-	// Leased messages are not re-leased until nacked.
-	again, err := s.Lease(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != 1 {
-		t.Fatalf("second lease got %d, want the 1 unleased message", len(again))
-	}
-	for _, m := range pending {
-		if !s.Ack(m.Seq) {
-			t.Fatalf("ack %d failed", m.Seq)
-		}
-	}
-	if s.Ack(pending[0].Seq) {
-		t.Fatal("double ack succeeded")
-	}
-	if got := bus.Depth("t"); got != 1 {
-		t.Fatalf("Depth = %d after acking 2 of 3", got)
-	}
-}
-
-func TestNackRedelivers(t *testing.T) {
-	bus := New()
-	p, s := topicPair(t, bus, "t")
-	if _, err := p.Publish([]byte("critical-alert")); err != nil {
-		t.Fatal(err)
-	}
-	pending, err := s.Lease(1)
-	if err != nil || len(pending) != 1 {
-		t.Fatalf("lease: %v, %d", err, len(pending))
-	}
-	// Consumer crashes before processing: nack.
-	if !s.Nack(pending[0].Seq) {
-		t.Fatal("nack failed")
-	}
-	if s.Nack(pending[0].Seq) {
-		t.Fatal("double nack succeeded")
-	}
-	redelivered, err := s.Lease(1)
-	if err != nil || len(redelivered) != 1 {
-		t.Fatalf("redelivery: %v, %d", err, len(redelivered))
-	}
-	if string(redelivered[0].Body) != "critical-alert" {
-		t.Fatalf("redelivered %q", redelivered[0].Body)
-	}
-}
-
-func TestLeaseTamperDetected(t *testing.T) {
-	bus := New()
-	p, s := topicPair(t, bus, "t")
-	if _, err := p.Publish([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	bus.mu.Lock()
-	for id, q := range bus.queues["t"] {
-		q[0].Sealed[3] ^= 1
-		bus.queues["t"][id] = q
-	}
-	bus.mu.Unlock()
-	if _, err := s.Lease(1); !errors.Is(err, ErrBadSeal) {
-		t.Fatalf("err = %v, want ErrBadSeal", err)
-	}
-}
-
 func TestConcurrentPublishers(t *testing.T) {
 	bus := New()
 	key, _ := TopicKey(appRoot(), "t")
@@ -443,7 +364,9 @@ func TestPollBatchBounded(t *testing.T) {
 }
 
 // TestUnsubscribePrunesLeases pins the churn leak fix: when a topic's last
-// subscriber closes, its queue and lease maps disappear from the bus.
+// subscriber closes, its queue map disappears from the bus, and sequence
+// numbers continue across the churn. (The name predates the removal of the
+// lease mode; the per-topic bookkeeping it guards is now the queue map.)
 func TestUnsubscribePrunesLeases(t *testing.T) {
 	bus := New()
 	key, _ := TopicKey(appRoot(), "churn")
@@ -456,17 +379,14 @@ func TestUnsubscribePrunesLeases(t *testing.T) {
 		if _, err := pub.Publish([]byte("m")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sub.Lease(1); err != nil { // creates lease bookkeeping
-			t.Fatal(err)
-		}
-		sub.Close()
+		sub.Close() // leaves the published message undelivered
 		sub.Close() // idempotent
 	}
 	bus.mu.Lock()
-	nq, nl := len(bus.queues), len(bus.leased)
+	nq := len(bus.queues)
 	bus.mu.Unlock()
-	if nq != 0 || nl != 0 {
-		t.Fatalf("after churn: %d queue topics, %d lease topics retained, want 0/0", nq, nl)
+	if nq != 0 {
+		t.Fatalf("after churn: %d queue topics retained, want 0", nq)
 	}
 	if bus.Depth("churn") != 0 {
 		t.Fatalf("depth = %d after last unsubscribe", bus.Depth("churn"))
@@ -486,38 +406,9 @@ func TestUnsubscribePrunesLeases(t *testing.T) {
 	}
 }
 
-// TestAckPrunesEmptyLeaseMaps: fully acknowledging a lease leaves no
-// residual per-subscriber lease maps behind.
-func TestAckPrunesEmptyLeaseMaps(t *testing.T) {
-	bus := New()
-	key, _ := TopicKey(appRoot(), "ack")
-	pub, _ := OpenPublisher(EndpointConfig{Bus: bus, Topic: "ack", Key: key})
-	sub, _ := OpenSubscriber(EndpointConfig{Bus: bus, Topic: "ack", Key: key})
-	if _, err := pub.Publish([]byte("one")); err != nil {
-		t.Fatal(err)
-	}
-	pend, err := sub.Lease(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pend) != 1 {
-		t.Fatalf("leased %d", len(pend))
-	}
-	if !sub.Ack(pend[0].Seq) {
-		t.Fatal("ack failed")
-	}
-	bus.mu.Lock()
-	nl := len(bus.leased)
-	bus.mu.Unlock()
-	if nl != 0 {
-		t.Fatalf("lease maps retained after full ack: %d topics", nl)
-	}
-}
-
 // TestSubscriberDepth: the per-subscriber monitoring hook reports the
-// pending-queue length without consuming or leasing anything, tracks
-// partial drains, leaves leased-but-unacked messages counted, and goes to
-// zero when the subscriber closes.
+// pending-queue length without consuming anything, tracks partial drains,
+// and goes to zero when the subscriber closes.
 func TestSubscriberDepth(t *testing.T) {
 	bus := New()
 	p, s := topicPair(t, bus, "t")
@@ -541,20 +432,6 @@ func TestSubscriberDepth(t *testing.T) {
 	}
 	if got := s.Depth(); got != 4 {
 		t.Fatalf("Depth after PollBatch(3) = %d, want 4", got)
-	}
-	// Leased messages remain queued (and counted) until acked.
-	pend, err := s.Lease(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Depth(); got != 4 {
-		t.Fatalf("Depth after Lease = %d, want 4", got)
-	}
-	if !s.Ack(pend[0].Seq) {
-		t.Fatal("ack failed")
-	}
-	if got := s.Depth(); got != 3 {
-		t.Fatalf("Depth after Ack = %d, want 3", got)
 	}
 	s.Close()
 	if got := s.Depth(); got != 0 {
@@ -593,36 +470,36 @@ func TestSubscriberDepthIndependentPerSubscriber(t *testing.T) {
 // one message of a batch — is rejected whole, with nothing enqueued.
 func TestQueueLimitExactlyFull(t *testing.T) {
 	bus := New()
-	bus.SetQueueLimit("t", 8)
 	p, s := topicPair(t, bus, "t")
 
 	// Fill to exactly the limit in one batch: allowed.
-	batch := make([][]byte, 8)
+	batch := make([][]byte, QueueLimit)
 	for i := range batch {
 		batch[i] = []byte{byte(i)}
 	}
 	if _, err := p.PublishBatch(batch); err != nil {
 		t.Fatalf("publish at exactly-full: %v", err)
 	}
-	if got := s.Depth(); got != 8 {
-		t.Fatalf("Depth = %d, want 8", got)
+	if got := s.Depth(); got != QueueLimit {
+		t.Fatalf("Depth = %d, want %d", got, QueueLimit)
 	}
 	// One more is back-pressure, and the queue is untouched.
 	if _, err := p.Publish([]byte("x")); !errors.Is(err, ErrBackPres) {
 		t.Fatalf("publish beyond limit: err = %v, want ErrBackPres", err)
 	}
-	if got := s.Depth(); got != 8 {
-		t.Fatalf("Depth after rejected publish = %d, want 8", got)
+	if got := s.Depth(); got != QueueLimit {
+		t.Fatalf("Depth after rejected publish = %d, want %d", got, QueueLimit)
 	}
-	// A batch straddling the boundary (7 queued + 2 new) is all-or-nothing.
+	// A batch straddling the boundary (one free slot, 2 new) is
+	// all-or-nothing.
 	if _, err := s.PollBatch(1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.PublishBatch([][]byte{{0xA}, {0xB}}); !errors.Is(err, ErrBackPres) {
 		t.Fatalf("straddling batch: err = %v, want ErrBackPres", err)
 	}
-	if got := s.Depth(); got != 7 {
-		t.Fatalf("Depth after rejected batch = %d, want 7", got)
+	if got := s.Depth(); got != QueueLimit-1 {
+		t.Fatalf("Depth after rejected batch = %d, want %d", got, QueueLimit-1)
 	}
 	// Exactly filling the remaining slot succeeds.
 	if _, err := p.Publish([]byte("y")); err != nil {
@@ -630,49 +507,9 @@ func TestQueueLimitExactlyFull(t *testing.T) {
 	}
 }
 
-// TestQueueLimitPersistsAcrossSubscriberChurn: SetQueueLimit is topology
-// configuration — the last unsubscriber prunes the topic's queue maps, but
-// a re-created subscription is bounded identically. Restoring the default
-// with limit <= 0 also works.
-func TestQueueLimitPersistsAcrossSubscriberChurn(t *testing.T) {
-	bus := New()
-	bus.SetQueueLimit("t", 2)
-	p, s := topicPair(t, bus, "t")
-	if _, err := p.PublishBatch([][]byte{{1}, {2}}); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	// Last unsubscriber pruned the queue map entirely.
-	bus.mu.Lock()
-	_, queueAlive := bus.queues["t"]
-	bus.mu.Unlock()
-	if queueAlive {
-		t.Fatal("topic queue map survived last unsubscribe")
-	}
-	key, _ := TopicKey(appRoot(), "t")
-	s2, err := OpenSubscriber(EndpointConfig{Bus: bus, Topic: "t", Key: key})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.PublishBatch([][]byte{{3}, {4}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Publish([]byte{5}); !errorsIsBackPres(err) {
-		t.Fatalf("limit lost across churn: err = %v", err)
-	}
-	bus.SetQueueLimit("t", 0) // restore default
-	if _, err := p.Publish([]byte{5}); err != nil {
-		t.Fatalf("default limit not restored: %v", err)
-	}
-	s2.Close()
-}
-
-func errorsIsBackPres(err error) bool { return errors.Is(err, ErrBackPres) }
-
-// TestUnsubscribePrunesQueueAndLimitIndependence: unsubscribing one of two
-// subscribers prunes only that handle's queue (the per-tenant queue of the
-// departing consumer), leaving the peer's backlog and the topic limit
-// intact.
+// TestUnsubscribePrunesOnlyOwnQueue: unsubscribing one of two subscribers
+// prunes only that handle's queue (the per-tenant queue of the departing
+// consumer), leaving the peer's backlog intact.
 func TestUnsubscribePrunesOnlyOwnQueue(t *testing.T) {
 	bus := New()
 	p, a := topicPair(t, bus, "t")
@@ -695,7 +532,9 @@ func TestUnsubscribePrunesOnlyOwnQueue(t *testing.T) {
 		t.Fatalf("queue handles after unsubscribe = %d, want 1", n)
 	}
 	// The departed handle's queue no longer counts toward back-pressure.
-	bus.SetQueueLimit("t", 3)
+	if _, err := p.PublishBatch(make([][]byte, QueueLimit-3)); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := p.Publish([]byte{4}); !errors.Is(err, ErrBackPres) {
 		t.Fatalf("peer still bounded: err = %v, want ErrBackPres", err)
 	}

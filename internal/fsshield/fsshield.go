@@ -274,7 +274,7 @@ func (fs *FS) placeFile(path string, chunks [][]byte) {
 		r.addr = fs.acct.Arena.Alloc(r.cap)
 	}
 	fs.regions[path] = r
-	fs.acct.Mem.AccessRange(r.addr, r.size, true)
+	fs.acct.Mem.Access(r.addr, r.size, true)
 }
 
 // ProtectionFile returns the trusted protection records.
@@ -365,7 +365,7 @@ func (fs *FS) ReadFile(path string) ([]byte, error) {
 	}
 	if r, ok := fs.regions[path]; ok && fs.accounted() {
 		// One bulk access covers the whole file's chunk copies.
-		fs.acct.Mem.AccessRange(r.addr, r.size, false)
+		fs.acct.Mem.Access(r.addr, r.size, false)
 	}
 	out := make([]byte, 0, entry.Size)
 	for i, stored := range chunks {
@@ -407,7 +407,7 @@ func (fs *FS) ReadChunk(path string, idx int) ([]byte, error) {
 		for i := 0; i < idx; i++ {
 			off += r.chunks[i]
 		}
-		fs.acct.Mem.AccessRange(r.addr+uint64(off), len(stored), false)
+		fs.acct.Mem.Access(r.addr+uint64(off), len(stored), false)
 	}
 	if !verifyChunkMAC(entry.Key, stored, aad, entry.MACs[idx]) {
 		return nil, fmt.Errorf("%w: %s chunk %d", ErrTampered, path, idx)

@@ -82,3 +82,30 @@ func TestPropLayerCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzDecodeLayer: a layer's encoding crosses the untrusted registry, so no
+// input may panic the decoder, and every layer it accepts re-encodes to a
+// fixed point — decoding its Encode() yields the same bytes and the same
+// Digest.
+func FuzzDecodeLayer(f *testing.F) {
+	two := Layer{Files: map[string][]byte{"/bin/app": []byte("code\x00x"), "/etc/cfg": nil}}
+	f.Add(two.Encode())
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l, err := DecodeLayer(data)
+		if err != nil {
+			return
+		}
+		enc := l.Encode()
+		again, err := DecodeLayer(enc)
+		if err != nil {
+			t.Fatalf("re-decoding an accepted layer: %v", err)
+		}
+		if !bytes.Equal(again.Encode(), enc) {
+			t.Fatal("Encode is not a fixed point of DecodeLayer")
+		}
+		if again.Digest() != l.Digest() {
+			t.Fatal("re-decoding changed the layer digest")
+		}
+	})
+}

@@ -239,16 +239,6 @@ func (ds *DurableStore) Delete(key string) (bool, error) {
 	return ds.ShardedStore.Delete(key), nil
 }
 
-// WALBytes returns each shard's live tail epoch bytes (see WALSegments for
-// the full durable medium).
-func (ds *DurableStore) WALBytes() [][]byte {
-	out := make([][]byte, len(ds.wals))
-	for i, w := range ds.wals {
-		out[i] = w.Bytes()
-	}
-	return out
-}
-
 // WALSegments returns every shard's durable log segments — sealed epochs
 // plus the live tail, what survives a crash alongside the registry's
 // snapshots and what RecoverDurableStore consumes.
@@ -259,10 +249,6 @@ func (ds *DurableStore) WALSegments() [][]WALSegment {
 	}
 	return out
 }
-
-// SnapshotSeq returns the sequence of the last published snapshot (0 =
-// never snapshotted).
-func (ds *DurableStore) SnapshotSeq() uint64 { return ds.snapSeq }
 
 // SnapshotStats is what one Snapshot call published and cost. Every field
 // is topology: bit-identical across worker counts.
@@ -628,7 +614,7 @@ func RecoverDurableStore(cfg DurableConfig, segments [][]WALSegment) (*DurableSt
 		if len(replay) > 1 {
 			retained = append(retained, replay[:len(replay)-1]...)
 		}
-		w.attachSegments(retained)
+		w.segs = retained
 		ds.wals[i] = w
 		// Replayed records are state the next snapshot must pack — a reuse
 		// record here would point at a manifest missing the tail.

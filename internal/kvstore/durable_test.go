@@ -281,6 +281,27 @@ func TestDurableCrashEveryBoundary(t *testing.T) {
 						if want := mapDigest(t, refAt(survivors)); got != want {
 							t.Fatalf("recovered state wrong with %d surviving records", survivors)
 						}
+						// The rebuilt shard-0 tail, truncated at the crash
+						// point, takes further appends that a second recovery
+						// replays.
+						key := "post-crash"
+						for i := 0; rec.shardOf(key) != 0; i++ {
+							key = fmt.Sprintf("post-crash-%d", i)
+						}
+						if err := rec.PutBatch([]Pair{{Key: key, Value: []byte("v")}}); err != nil {
+							t.Fatal(err)
+						}
+						again, _, err := RecoverDurableStore(cfg, rec.WALSegments())
+						if err != nil {
+							t.Fatalf("recovering the post-crash append: %v", err)
+						}
+						want, err := rec.StateDigest()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got, err := again.StateDigest(); err != nil || got != want {
+							t.Fatalf("post-crash append lost on second recovery: %v", err)
+						}
 						wantReplayed := survivors + (len(bounds)-1)*(len(segs)-1)
 						if rs.RecordsReplayed != wantReplayed && shards > 1 {
 							// Other shards' record counts can differ when a

@@ -1,18 +1,17 @@
 // Package kvstore implements SecureCloud's "secure structured data store"
 // (paper §III-B(3)): an ordered key/value store whose records are sealed
-// before they reach untrusted storage, with authenticated snapshots and
-// rollback protection via a monotonic store version.
+// before they reach untrusted storage. DurableStore persists it: a sealed
+// per-shard write-ahead log plus a chain of incremental sealed snapshots
+// that refuses rollbacks and splices.
 //
 // The in-memory structure is a deterministic skip list (seeded, so tests
 // replay), giving O(log n) point access and ordered range scans. All
 // values are encrypted and authenticated; keys are kept in plaintext
-// in memory (inside the enclave) but never leave it unsealed — snapshots
-// seal the whole ordered state as one authenticated blob.
+// in memory (inside the enclave) but never leave it unsealed.
 package kvstore
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -27,8 +26,7 @@ const maxLevel = 16
 // Errors returned by the store.
 var (
 	ErrNotFound = errors.New("kvstore: key not found")
-	ErrTampered = errors.New("kvstore: snapshot failed authentication")
-	ErrRollback = errors.New("kvstore: snapshot older than expected version")
+	ErrTampered = errors.New("kvstore: record failed authentication")
 )
 
 type node struct {
@@ -129,7 +127,7 @@ func (s *Store) placeNode(n *node) {
 	}
 	n.bytes = nodeFootprint(n)
 	n.addr = s.acct.Arena.Alloc(n.bytes)
-	s.acct.Mem.AccessRange(n.addr, n.bytes, true)
+	s.acct.Mem.Access(n.addr, n.bytes, true)
 }
 
 // replaceNodeValue re-places a node whose value changed size: the record is
@@ -144,7 +142,7 @@ func (s *Store) replaceNodeValue(n *node) {
 		n.addr = s.acct.Arena.Alloc(size)
 	}
 	n.bytes = size
-	s.acct.Mem.AccessRange(n.addr, n.bytes, true)
+	s.acct.Mem.Access(n.addr, n.bytes, true)
 }
 
 // Len returns the number of stored records.
@@ -319,7 +317,7 @@ func (s *Store) Get(key string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
 	if s.accounted() {
-		s.acct.Mem.AccessRange(cand.addr, cand.bytes, false)
+		s.acct.Mem.Access(cand.addr, cand.bytes, false)
 	}
 	plain, err := s.box.Open(cand.value, valueAAD(key))
 	if err != nil {
@@ -379,7 +377,7 @@ func (s *Store) Range(lo, hi string) ([]Pair, error) {
 			break
 		}
 		if s.accounted() {
-			s.acct.Mem.AccessRange(n.addr, n.bytes, false)
+			s.acct.Mem.Access(n.addr, n.bytes, false)
 		}
 		plain, err := s.box.Open(n.value, valueAAD(n.key))
 		if err != nil {
@@ -397,62 +395,6 @@ func (s *Store) Keys() []string {
 		out = append(out, n.key)
 	}
 	return out
-}
-
-// snapshot is the serialised store state.
-type snapshot struct {
-	Version uint64   `json:"version"`
-	Keys    []string `json:"keys"`
-	Values  [][]byte `json:"values"` // plaintext inside the sealed blob
-}
-
-// Snapshot seals the full store state (for persistence to untrusted disk
-// or hand-over to a successor enclave). The blob is authenticated and
-// carries the store version for rollback checks on load.
-func (s *Store) Snapshot() ([]byte, error) {
-	snap := snapshot{Version: s.version}
-	for n := s.head.next[0]; n != nil; n = n.next[0] {
-		plain, err := s.box.Open(n.value, valueAAD(n.key))
-		if err != nil {
-			return nil, fmt.Errorf("kvstore: key %q: %w", n.key, ErrTampered)
-		}
-		snap.Keys = append(snap.Keys, n.key)
-		snap.Values = append(snap.Values, plain)
-	}
-	raw, err := json.Marshal(snap)
-	if err != nil {
-		return nil, err
-	}
-	return s.box.Seal(raw, []byte("kv-snapshot"))
-}
-
-// Load restores a snapshot into a fresh store. minVersion is the lowest
-// acceptable snapshot version (e.g. remembered via the CAS or a monotonic
-// counter service); an older snapshot is a rollback attack and is
-// rejected.
-func Load(key cryptbox.Key, seed int64, blob []byte, minVersion uint64) (*Store, error) {
-	s, err := NewStore(key, Options{Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	raw, err := s.box.Open(blob, []byte("kv-snapshot"))
-	if err != nil {
-		return nil, ErrTampered
-	}
-	var snap snapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return nil, fmt.Errorf("kvstore: decoding snapshot: %w", err)
-	}
-	if snap.Version < minVersion {
-		return nil, fmt.Errorf("%w: snapshot v%d < expected v%d", ErrRollback, snap.Version, minVersion)
-	}
-	for i, k := range snap.Keys {
-		if err := s.Put(k, snap.Values[i]); err != nil {
-			return nil, err
-		}
-	}
-	s.version = snap.Version
-	return s, nil
 }
 
 // Equal reports whether two stores hold identical records (test helper;

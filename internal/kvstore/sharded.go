@@ -115,9 +115,8 @@ func (ss *ShardedStore) Shards() int { return len(ss.shards) }
 func (ss *ShardedStore) Put(key string, value []byte) error {
 	sh := ss.shards[ss.shardOf(key)]
 	sh.mu.Lock()
-	err := sh.st.Put(key, value)
-	sh.mu.Unlock()
-	return err
+	defer sh.mu.Unlock()
+	return sh.st.Put(key, value)
 }
 
 // Get returns the value stored under key, charged through a read-only
@@ -135,9 +134,8 @@ func (ss *ShardedStore) Get(key string) ([]byte, error) {
 func (ss *ShardedStore) Delete(key string) bool {
 	sh := ss.shards[ss.shardOf(key)]
 	sh.mu.Lock()
-	ok := sh.st.Delete(key)
-	sh.mu.Unlock()
-	return ok
+	defer sh.mu.Unlock()
+	return sh.st.Delete(key)
 }
 
 // forEachShard runs fn(i) for every shard index across at most ss.workers
@@ -177,8 +175,8 @@ func (ss *ShardedStore) PutBatch(pairs []Pair) error {
 		}
 		sh := ss.shards[i]
 		sh.mu.Lock()
+		defer sh.mu.Unlock()
 		errs[i] = sh.st.PutBatch(groups[i])
-		sh.mu.Unlock()
 	})
 	return firstErr(errs)
 }

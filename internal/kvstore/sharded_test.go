@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"securecloud/internal/cryptbox"
 	"securecloud/internal/enclave"
@@ -375,5 +376,49 @@ func TestShardedStoreTamperDetected(t *testing.T) {
 	}
 	if _, err := ss.GetBatch([]string{"victim"}); err == nil {
 		t.Fatal("tampered record passed GetBatch")
+	}
+}
+
+// TestShardedPutPanicReleasesShardLock: when a shard's arena runs out, Put
+// panics; a caller that recovers (as net/http does for handlers) must not
+// leave the shard's write lock held, or every later Get on that shard
+// blocks forever.
+func TestShardedPutPanicReleasesShardLock(t *testing.T) {
+	var k cryptbox.Key
+	k[0] = 7
+	ss, err := NewShardedStore(k, ShardedStoreConfig{
+		Shards:     1,
+		Workers:    1,
+		Seed:       11,
+		Accounted:  true,
+		Platform:   smallShardPlatform(),
+		ShardBytes: 1 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := bytes.Repeat([]byte{0xAB}, 4096)
+	panicked := func() (p bool) {
+		defer func() { p = recover() != nil }()
+		for i := 0; i < 1<<12; i++ {
+			if err := ss.Put(fmt.Sprintf("k%05d", i), value); err != nil {
+				t.Error(err)
+				return false
+			}
+		}
+		return false
+	}()
+	if !panicked {
+		t.Fatal("1 MiB shard arena never ran out")
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _ = ss.Get("k00000")
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Get blocked: the shard lock is still held after the recovered Put panic")
 	}
 }

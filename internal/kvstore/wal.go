@@ -208,26 +208,6 @@ func (w *WAL) Records() int {
 	return w.records
 }
 
-// Bytes returns a copy of the live tail epoch's log bytes.
-func (w *WAL) Bytes() []byte {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]byte(nil), w.buf...)
-}
-
-// Reset discards the whole log — sealed segments included — and starts the
-// given epoch with nothing durable behind it. Snapshots use Roll instead;
-// Reset is for abandoning a log.
-func (w *WAL) Reset(epoch uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.epoch = epoch
-	w.seq = 0
-	w.records = 0
-	w.buf = nil
-	w.segs = nil
-}
-
 // Roll seals the live tail as a segment (kept on the durable medium until
 // GC) and starts the given epoch — the snapshot step. Empty tails seal
 // too, preserving epoch contiguity on the medium.
@@ -405,32 +385,4 @@ func DecodeWAL(key cryptbox.Key, name string, epoch uint64, buf []byte) (batches
 		off += n
 	}
 	return batches, off, nil
-}
-
-// RecoverWAL rebuilds a usable log handle from crash-surviving bytes: the
-// decoded batches for replay, plus a WAL truncated at the last clean record
-// and positioned to append the next one.
-func RecoverWAL(key cryptbox.Key, name string, epoch uint64, buf []byte) (*WAL, [][]WALOp, error) {
-	batches, prefix, err := DecodeWAL(key, name, epoch, buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	w := &WAL{
-		name:    name,
-		key:     key,
-		epoch:   epoch,
-		seq:     uint64(len(batches)),
-		buf:     append([]byte(nil), buf[:prefix]...),
-		records: len(batches),
-	}
-	return w, batches, nil
-}
-
-// attachSegments installs sealed earlier-epoch segments on a freshly
-// recovered WAL so a post-recovery GC can still retire them
-// (construction-time plumbing for RecoverDurableStore).
-func (w *WAL) attachSegments(segs []WALSegment) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.segs = segs
 }

@@ -40,6 +40,13 @@ func buildWAL(t testing.TB, key cryptbox.Key, name string, epoch uint64, batches
 	return w
 }
 
+// liveTail returns the live tail epoch's bytes: the last element of the
+// durable medium Segments reports.
+func liveTail(w *WAL) []byte {
+	segs := w.Segments()
+	return segs[len(segs)-1].Bytes
+}
+
 // recordBoundaries walks the frame lengths of a well-formed log.
 func recordBoundaries(t testing.TB, buf []byte) []int {
 	t.Helper()
@@ -71,12 +78,13 @@ func TestWALRoundtrip(t *testing.T) {
 	key := walTestKey(t)
 	batches := walTestBatches()
 	w := buildWAL(t, key, "wal/test", 3, batches)
-	got, prefix, err := DecodeWAL(key, "wal/test", 3, w.Bytes())
+	buf := liveTail(w)
+	got, prefix, err := DecodeWAL(key, "wal/test", 3, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prefix != len(w.Bytes()) {
-		t.Fatalf("prefix %d, want full %d", prefix, len(w.Bytes()))
+	if prefix != len(buf) {
+		t.Fatalf("prefix %d, want full %d", prefix, len(buf))
 	}
 	if len(got) != len(batches) {
 		t.Fatalf("decoded %d batches, want %d", len(got), len(batches))
@@ -94,7 +102,7 @@ func TestWALDeterministic(t *testing.T) {
 	key := walTestKey(t)
 	a := buildWAL(t, key, "wal/twin", 1, walTestBatches())
 	b := buildWAL(t, key, "wal/twin", 1, walTestBatches())
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(liveTail(a), liveTail(b)) {
 		t.Fatal("identical appends produced different log bytes")
 	}
 }
@@ -105,7 +113,7 @@ func TestWALTornTail(t *testing.T) {
 	key := walTestKey(t)
 	batches := walTestBatches()
 	w := buildWAL(t, key, "wal/torn", 1, batches)
-	full := w.Bytes()
+	full := liveTail(w)
 	bounds := recordBoundaries(t, full)
 	lastStart := bounds[len(bounds)-2]
 
@@ -134,18 +142,6 @@ func TestWALTornTail(t *testing.T) {
 			if prefix != bounds[tc.want] {
 				t.Fatalf("prefix %d, want boundary %d", prefix, bounds[tc.want])
 			}
-			// A recovered handle must accept further appends cleanly.
-			rw, rb, err := RecoverWAL(key, "wal/torn", 1, tc.buf)
-			if err != nil || len(rb) != tc.want {
-				t.Fatalf("RecoverWAL: %v, %d batches", err, len(rb))
-			}
-			if err := rw.Append([]WALOp{{Key: "post", Value: []byte("crash")}}); err != nil {
-				t.Fatal(err)
-			}
-			again, _, err := DecodeWAL(key, "wal/torn", 1, rw.Bytes())
-			if err != nil || len(again) != tc.want+1 {
-				t.Fatalf("post-recovery append: %v, %d batches", err, len(again))
-			}
 		})
 	}
 }
@@ -155,7 +151,7 @@ func TestWALTornTail(t *testing.T) {
 func TestWALMidLogCorruption(t *testing.T) {
 	key := walTestKey(t)
 	w := buildWAL(t, key, "wal/mid", 1, walTestBatches())
-	full := w.Bytes()
+	full := liveTail(w)
 	bounds := recordBoundaries(t, full)
 
 	cases := []struct {
@@ -181,9 +177,6 @@ func TestWALMidLogCorruption(t *testing.T) {
 			case !errors.Is(err, ErrWALCorrupt):
 				t.Fatalf("want ErrWALCorrupt, got %v", err)
 			}
-			if _, _, err := RecoverWAL(key, "wal/mid", 1, flip(full, bounds[1]-1)); !errors.Is(err, ErrWALCorrupt) {
-				t.Fatalf("RecoverWAL must refuse corrupt logs, got %v", err)
-			}
 		})
 	}
 }
@@ -194,7 +187,7 @@ func TestWALPositionBinding(t *testing.T) {
 	key := walTestKey(t)
 	one := [][]WALOp{{{Key: "x", Value: []byte("y")}}}
 	w := buildWAL(t, key, "wal/pos", 1, one)
-	buf := w.Bytes()
+	buf := liveTail(w)
 	if _, _, err := DecodeWALRecord(key, "wal/pos", 1, 0, buf); err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +265,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 	if err := w.Append([]WALOp{{Key: "a", Value: []byte("one")}, {Key: "b", Delete: true}}); err != nil {
 		f.Fatal(err)
 	}
-	valid := w.Bytes()
+	valid := liveTail(w)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(flip(valid, len(valid)-1))
@@ -305,24 +298,24 @@ func FuzzDecodeWALRecord(f *testing.F) {
 	})
 }
 
-// TestWALEpochReset pins the snapshot-compaction contract: Reset starts an
-// empty log in the next epoch whose records bind to the new position.
+// TestWALEpochReset pins the snapshot epoch contract: Roll starts an empty
+// live tail in the next epoch whose records bind to the new position.
 func TestWALEpochReset(t *testing.T) {
 	key := walTestKey(t)
 	w := buildWAL(t, key, "wal/epoch", 1, walTestBatches())
-	w.Reset(2)
-	if w.Records() != 0 || len(w.Bytes()) != 0 || w.Epoch() != 2 {
-		t.Fatalf("reset left records=%d bytes=%d epoch=%d", w.Records(), len(w.Bytes()), w.Epoch())
+	w.Roll(2)
+	if w.Records() != 0 || len(liveTail(w)) != 0 || w.Epoch() != 2 {
+		t.Fatalf("roll left records=%d bytes=%d epoch=%d", w.Records(), len(liveTail(w)), w.Epoch())
 	}
 	if err := w.Append([]WALOp{{Key: "e2", Value: []byte("v")}}); err != nil {
 		t.Fatal(err)
 	}
 	// Under the wrong epoch the sole record fails its MAC; as the final
 	// record that reads as a torn tail — zero batches survive.
-	if b, prefix, err := DecodeWAL(key, "wal/epoch", 1, w.Bytes()); err != nil || len(b) != 0 || prefix != 0 {
+	if b, prefix, err := DecodeWAL(key, "wal/epoch", 1, liveTail(w)); err != nil || len(b) != 0 || prefix != 0 {
 		t.Fatalf("epoch-1 decode of epoch-2 log: %v, %d batches, prefix %d", err, len(b), prefix)
 	}
-	got, _, err := DecodeWAL(key, "wal/epoch", 2, w.Bytes())
+	got, _, err := DecodeWAL(key, "wal/epoch", 2, liveTail(w))
 	if err != nil || len(got) != 1 {
 		t.Fatalf("epoch-2 decode: %v, %d batches", err, len(got))
 	}

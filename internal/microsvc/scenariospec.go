@@ -82,7 +82,7 @@ type FaultSpec struct {
 }
 
 // Assertion bounds one result metric; the bench harness turns failures
-// into gate problems. Build with AtLeast/AtMost/Between/Equals.
+// into gate problems. Build with AtLeast/AtMost/Equals.
 type Assertion struct {
 	Metric string
 	Min    float64
@@ -97,11 +97,6 @@ func AtLeast(metric string, v float64) Assertion {
 // AtMost asserts metric ≤ v.
 func AtMost(metric string, v float64) Assertion {
 	return Assertion{Metric: metric, Min: math.Inf(-1), Max: v}
-}
-
-// Between asserts lo ≤ metric ≤ hi.
-func Between(metric string, lo, hi float64) Assertion {
-	return Assertion{Metric: metric, Min: lo, Max: hi}
 }
 
 // Equals asserts metric == v (exactly — these are deterministic figures).

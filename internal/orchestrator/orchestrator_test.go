@@ -189,22 +189,6 @@ func TestAdaptationLog(t *testing.T) {
 	}
 }
 
-func TestDispatcherPicksLeastLoaded(t *testing.T) {
-	o, err := New(DefaultTarget(), &fakeLauncher{},
-		healthy("a", 9), healthy("b", 2), healthy("c", 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := NewDispatcher(o)
-	r, err := d.Pick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.ID() != "b" {
-		t.Fatalf("picked %s, want b", r.ID())
-	}
-}
-
 func TestClosedLoopConvergesUnderLoadSwing(t *testing.T) {
 	// Simulated load swing: a burst arrives, the orchestrator scales out
 	// until per-replica depth is within target, then the burst drains and

@@ -171,8 +171,7 @@ func (b *Broker) establish(clientID string, clientPub []byte, replace bool) ([]b
 		return nil, err
 	}
 	// Session keys are ephemeral (fresh X25519 exchange per handshake), so
-	// the AEAD context lives in the session record — not in the process-
-	// wide CachedBox intern table, which never evicts — and dies with it.
+	// the AEAD context lives in the session record and dies with it.
 	box, err := cryptbox.NewBox(key)
 	if err != nil {
 		return nil, err

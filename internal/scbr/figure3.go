@@ -130,7 +130,11 @@ func runFigure3Point(cfg Figure3Config, mb float64) (Figure3Point, error) {
 	base := pOut.AllocUntrusted(arenaSize)
 	pageSize := pOut.Config().PageSize
 	nPages := int((arenaSize + pageSize - 1) / pageSize)
-	memOut.AccessStride(base, pageSize, nPages, 1, true)
+	sp := memOut.BeginSpan()
+	for i := 0; i < nPages; i++ {
+		sp.Access(base+uint64(i)*pageSize, 1, true)
+	}
+	sp.End()
 	arenaOut := enclave.NewArena(memOut, base, arenaSize)
 	outCycles, outFaults := runRegistration(memOut, arenaOut, cfg, target)
 

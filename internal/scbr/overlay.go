@@ -1,7 +1,6 @@
 package scbr
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 )
@@ -36,11 +35,6 @@ type Router struct {
 	// hops counts inter-router forwards (the overlay-efficiency metric).
 	hops uint64
 }
-
-// Overlay errors.
-var (
-	ErrNotNeighbour = errors.New("scbr: router is not a neighbour")
-)
 
 // NewRouter creates a router; parent may be nil for the root.
 func NewRouter(id string, parent *Router) *Router {

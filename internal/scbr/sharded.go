@@ -108,17 +108,16 @@ func (sx *ShardedIndex) Shards() int { return len(sx.shards) }
 func (sx *ShardedIndex) Insert(s Subscription) {
 	sh := sx.shardFor(s.ID)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	sh.ix.Insert(s)
-	sh.mu.Unlock()
 }
 
 // Remove unregisters a subscription, reporting whether it was present.
 func (sx *ShardedIndex) Remove(id uint64) bool {
 	sh := sx.shardFor(id)
 	sh.mu.Lock()
-	ok := sh.ix.Remove(id)
-	sh.mu.Unlock()
-	return ok
+	defer sh.mu.Unlock()
+	return sh.ix.Remove(id)
 }
 
 // forEachShard runs fn(i) for every shard index across at most sx.workers

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"securecloud/internal/enclave"
 )
@@ -196,5 +197,51 @@ func TestSnapshotMatchLeavesStateFrozen(t *testing.T) {
 	}
 	if a2 != b2 {
 		t.Fatalf("snapshot matches perturbed platform state: follow-up mutating match cost %d, want %d", a2, b2)
+	}
+}
+
+// TestShardedInsertPanicReleasesShardLock: when a shard's arena runs out,
+// Insert panics; a caller that recovers (as net/http does for handlers)
+// must not leave the shard's write lock held, or every later Match on that
+// shard blocks forever.
+func TestShardedInsertPanicReleasesShardLock(t *testing.T) {
+	sx, err := NewShardedIndex(ShardedIndexConfig{
+		Shards:       1,
+		Workers:      1,
+		PayloadBytes: 600,
+		Accounted:    true,
+		Platform: enclave.Config{
+			EPCBytes:         4 << 20,
+			EPCReservedBytes: 1 << 20,
+			LLCBytes:         256 << 10,
+			LLCWays:          8,
+			LineSize:         64,
+			PageSize:         4096,
+		},
+		ShardBytes: 1 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorkload(DefaultWorkload(42))
+	panicked := func() (p bool) {
+		defer func() { p = recover() != nil }()
+		for i := 0; i < 1<<16; i++ {
+			sx.Insert(w.NextSubscription())
+		}
+		return false
+	}()
+	if !panicked {
+		t.Fatal("1 MiB shard arena never ran out")
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		sx.Match(w.NextEvent())
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Match blocked: the shard lock is still held after the recovered Insert panic")
 	}
 }

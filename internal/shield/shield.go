@@ -226,17 +226,6 @@ func OpenRecord(key cryptbox.Key, label string, seq uint64, rec []byte) ([]byte,
 	return plain, nil
 }
 
-// SealRecord produces a record a protected stream will accept at the given
-// sequence number — the counterpart for feeding a container's encrypted
-// stdin from outside.
-func SealRecord(key cryptbox.Key, label string, seq uint64, data []byte) ([]byte, error) {
-	box, err := cryptbox.NewBox(key)
-	if err != nil {
-		return nil, err
-	}
-	return box.Seal(data, seqAAD(label, seq))
-}
-
 func min(a, b int) int {
 	if a < b {
 		return a

@@ -464,15 +464,15 @@ func (r *Receiver) Assemble() ([]byte, error) {
 			// Stage the ciphertext into the enclave, then read it back for
 			// verification and decryption.
 			addr := r.acct.Arena.Alloc(len(stored))
-			r.acct.Mem.AccessRange(addr, len(stored), true)
-			r.acct.Mem.AccessRange(addr, len(stored), false)
+			r.acct.Mem.Access(addr, len(stored), true)
+			r.acct.Mem.Access(addr, len(stored), false)
 		}
 		plain, err := op.open(i, stored)
 		if err != nil {
 			return nil, err
 		}
 		if accounted && len(plain) > 0 {
-			r.acct.Mem.AccessRange(outAddr+uint64(len(out)), len(plain), true)
+			r.acct.Mem.Access(outAddr+uint64(len(out)), len(plain), true)
 		}
 		out = append(out, plain...)
 	}

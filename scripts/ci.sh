@@ -21,7 +21,8 @@
 # 6. fuzz smoke                 (each Fuzz* target of the untrusted-input
 #                                decoders runs for 5 s: WAL record,
 #                                snapshot chain, SCBR plaintext, transfer
-#                                manifest, plane frame, wire frame batch)
+#                                manifest, plane frame, wire frame batch,
+#                                image layer)
 # 7. bench gate                 (scripts/bench_smoke.sh reruns every bench
 #                                driver, the Figure 3 sweep and the Go
 #                                benchmarks from the code under test; each
@@ -84,6 +85,7 @@ FUZZ_TARGETS=(
     ./internal/transfer:FuzzDecodeManifest
     ./internal/microsvc:FuzzDecodeFrame
     ./internal/wire:FuzzDecodeBatch
+    ./internal/image:FuzzDecodeLayer
 )
 for t in "${FUZZ_TARGETS[@]}"; do
     echo "ci: fuzz ${t#*:} (${t%%:*}, 5s)" >&2
