@@ -6,6 +6,13 @@
 //     charges strictly fewer sim-cycles — than a full snapshot of the
 //     identical state (measured on a twin store against its own registry,
 //     so convergent dedup cannot flatter either side).
+//   - grid: every shard dirty. 100 meters report every tick over 4
+//     shards; a day of 48-tick intervals is ingested with a snapshot
+//     after each, then one more interval: the incremental snapshot
+//     re-reads only the chunks the new readings land in, so it must
+//     publish strictly fewer bytes and charge strictly fewer sim-cycles
+//     than a twin's SnapshotFull of the same state, although no shard is
+//     clean.
 //   - recover: a node that already pulled the previous snapshot recovers
 //     the delta chain by fetching only the cache-missing chunks — strictly
 //     fewer than its own cold recovery fetched — then replays the
@@ -70,6 +77,13 @@ type result struct {
 	ChainLinks         int `json:"chain_links"`
 
 	RecoveredStateEqual bool `json:"recovered_state_equal"`
+
+	GridDeltaBytes        int64  `json:"grid_delta_bytes"`
+	GridDeltaCycles       uint64 `json:"grid_delta_cycles"`
+	GridDeltaChunksSealed int    `json:"grid_delta_chunks_sealed"`
+	GridFullBytes         int64  `json:"grid_full_bytes"`
+	GridFullCycles        uint64 `json:"grid_full_cycles"`
+	GridFullChunksSealed  int    `json:"grid_full_chunks_sealed"`
 }
 
 // deterministicEqual compares everything but wall clock.
@@ -93,6 +107,78 @@ func genBatches(seed int64, n, perBatch int) [][]kvstore.Pair {
 		out[i] = batch
 	}
 	return out
+}
+
+// gridInterval is one snapshot interval of grid-shaped load: 100 meters
+// (10 per feeder) reporting once per tick for 48 ticks from tick start.
+func gridInterval(rng *rand.Rand, start int) [][]kvstore.Pair {
+	out := make([][]kvstore.Pair, 48)
+	for t := range out {
+		batch := make([]kvstore.Pair, 100)
+		for m := range batch {
+			v := make([]byte, 8)
+			rng.Read(v)
+			key := fmt.Sprintf("feeder-%03d|meter-%05d|%06d", m/10, m, start+t)
+			batch[m] = kvstore.Pair{Key: key, Value: v}
+		}
+		out[t] = batch
+	}
+	return out
+}
+
+// gridDayIntervals is the history ingested before the measured interval:
+// one day of 48-tick intervals at 288 ticks a day. After a single interval
+// each shard holds only 12 readings per meter, so nearly every chunk holds
+// some meter's newest reading and goes dirty; the delta needs history to
+// beat the full snapshot.
+const gridDayIntervals = 6
+
+// runGrid ingests a day of grid intervals into a store and a twin on
+// separate registries, snapshotting after each, then one more interval;
+// the store takes an incremental snapshot and the twin a full one of the
+// same state.
+func runGrid(workers int, seed int64, sealKey cryptbox.Key, fail func(string, ...any)) (delta, full kvstore.SnapshotStats) {
+	rng := rand.New(rand.NewSource(seed))
+	var intervals [][][]kvstore.Pair
+	for i := 0; i <= gridDayIntervals; i++ {
+		intervals = append(intervals, gridInterval(rng, 48*i))
+	}
+	stores := make([]*kvstore.DurableStore, 2)
+	for i := range stores {
+		reg := registry.New()
+		ds, err := kvstore.NewDurableStore(kvstore.DurableConfig{
+			Shards: 4, Workers: workers, Seed: seed, ShardBytes: 8 << 20,
+			Service: "bench/grid", SealKey: sealKey,
+			Registry: reg, Engine: newNode(reg, workers),
+		})
+		if err != nil {
+			fail("%v", err)
+		}
+		for n, interval := range intervals {
+			if n > 0 {
+				if _, err := ds.Snapshot(); err != nil {
+					fail("grid snapshot: %v", err)
+				}
+			}
+			for _, b := range interval {
+				if err := ds.PutBatch(b); err != nil {
+					fail("%v", err)
+				}
+			}
+		}
+		stores[i] = ds
+	}
+	delta, err := stores[0].Snapshot()
+	if err != nil {
+		fail("grid delta snapshot: %v", err)
+	}
+	if full, err = stores[1].SnapshotFull(); err != nil {
+		fail("grid full snapshot: %v", err)
+	}
+	if delta.ShardsReused != 0 {
+		fail("grid interval left %d shards clean", delta.ShardsReused)
+	}
+	return delta, full
 }
 
 // newNode builds an engine (with an empty node blob cache) against reg.
@@ -194,7 +280,16 @@ func run(shards, workers, batches int, seed int64, fail func(string, ...any)) re
 		fail("%v", err)
 	}
 
+	gridDelta, gridFull := runGrid(workers, seed, sealKey, fail)
+
 	return result{
+		GridDeltaBytes:        gridDelta.BytesPublished,
+		GridDeltaCycles:       uint64(gridDelta.PackCycles),
+		GridDeltaChunksSealed: gridDelta.ChunksSealed,
+		GridFullBytes:         gridFull.BytesPublished,
+		GridFullCycles:        uint64(gridFull.PackCycles),
+		GridFullChunksSealed:  gridFull.ChunksSealed,
+
 		WallNS:              time.Since(start).Nanoseconds(),
 		BaseSnapshotChunks:  baseSnap.ChunksPublished,
 		BaseSnapshotCycles:  uint64(baseSnap.PackCycles),
@@ -261,6 +356,10 @@ func main() {
 		fail("warm delta recovery fetched %d chunks, cold fetched %d",
 			first.DeltaChunksFetched, first.ColdChunksFetched)
 	}
+	if first.GridDeltaBytes >= first.GridFullBytes || first.GridDeltaCycles >= first.GridFullCycles {
+		fail("grid delta snapshot published %d bytes / %d cycles, full %d bytes / %d cycles",
+			first.GridDeltaBytes, first.GridDeltaCycles, first.GridFullBytes, first.GridFullCycles)
+	}
 	if !first.RecoveredStateEqual {
 		fail("recovered state differs from the never-crashed twin")
 	}
@@ -305,6 +404,13 @@ func main() {
 		"replay_records":        float64(first.ReplayRecords),
 		"chain_links":           float64(first.ChainLinks),
 		"recovered_state_equal": equal,
+
+		"grid_delta_bytes":         float64(first.GridDeltaBytes),
+		"grid_delta_cycles":        float64(first.GridDeltaCycles),
+		"grid_delta_chunks_sealed": float64(first.GridDeltaChunksSealed),
+		"grid_full_bytes":          float64(first.GridFullBytes),
+		"grid_full_cycles":         float64(first.GridFullCycles),
+		"grid_full_chunks_sealed":  float64(first.GridFullChunksSealed),
 	}
 
 	if *jsonOut {
@@ -319,6 +425,9 @@ func main() {
 		first.DeltaSnapshotChunks, first.DeltaSnapshotCycles,
 		first.DeltaShardsPacked, first.DeltaShardsReused,
 		first.FullSnapshotChunks, first.FullSnapshotCycles)
+	fmt.Printf("grid (every shard dirty): delta %d bytes / %d cycles (%d chunks sealed) vs full %d bytes / %d cycles (%d)\n",
+		first.GridDeltaBytes, first.GridDeltaCycles, first.GridDeltaChunksSealed,
+		first.GridFullBytes, first.GridFullCycles, first.GridFullChunksSealed)
 	fmt.Printf("recover: warm delta fetched %d chunks (%d cache hits, %d records replayed, %d chain links) vs cold %d\n",
 		first.DeltaChunksFetched, first.DeltaCacheHits, first.ReplayRecords,
 		first.ChainLinks, first.ColdChunksFetched)

@@ -306,16 +306,32 @@
 //     (FuzzDecodeWALRecord) pins that every input lands in exactly
 //     torn, corrupt or valid.
 //
-//   - Incremental sealed snapshots. Snapshot tracks per-shard dirty
-//     state: a shard untouched since its last packed snapshot publishes a
-//     tiny reuse record chaining to its parent manifest instead of
-//     re-packing — the delta scales with what changed, not with the
-//     dataset. Dirty shards serialize their table, pack it convergently
-//     (transfer.PackConvergent) and publish the blob set through
-//     internal/registry — chunk-granular, content-addressed, and deduped
-//     against every image layer and prior snapshot already stored, so
-//     even a packed shard republishes only its changed chunks. Every
-//     snapshot record (packed or reuse) seals under a per-shard key
+//   - Incremental sealed snapshots. A shard's image is its records in key
+//     order, cut into record-aligned, content-defined chunks: a chunk ends
+//     after a record whose key hashes to five low zero bits (a mean of 32
+//     records), or before a record that would carry it past 4 KiB. A
+//     boundary depends on the key it follows, not on a byte offset, so
+//     an insert disturbs only its own chunk (LBFS-style chunking), and
+//     each chunk decodes on its own and covers one contiguous key range.
+//     The boundary hash is an HMAC under a key derived from the shard's
+//     snapshot key, because the registry sees chunk lengths and could
+//     otherwise test guessed keys against where boundaries fall.
+//     DurableStore keeps a chunk index per shard inside the enclave —
+//     first key, leaf digest, convergent key, length and a dirty bit per
+//     chunk, O(chunks) whatever the traffic. PutBatch, Delete and WAL
+//     replay set the dirty bit of the chunk holding each key; Snapshot
+//     merges adjacent dirty chunks into runs, reads only those runs' key
+//     ranges from the table (charged to the shard's own enclave memory),
+//     re-chunks and convergently seals them, and lists every clean leaf
+//     unchanged — the registry takes a nil chunk for a leaf it already
+//     stores. So a snapshot's cost follows the change, not the dataset,
+//     even when every shard is dirty. A shard with no dirty chunk
+//     publishes a tiny reuse record chaining to its parent manifest; a
+//     first snapshot and SnapshotFull are the case where one dirty run
+//     covers the shard. Manifests list each leaf's plaintext length
+//     (transfer.Manifest.Lengths), and one Validate rule covers these
+//     variable-length leaves and the image registry's fixed-size ones.
+//     Every snapshot record (packed or reuse) seals under a per-shard key
 //     derived from the service key the attest.KeyBroker released, with
 //     both the sequence number and the parent sequence bound into the
 //     AAD: a chain cannot be spliced, re-pointed or rolled back without
@@ -338,14 +354,18 @@
 //     non-monotonic epochs — then pulls only the chunks its node cache is
 //     missing via container.Engine.PullBlobSet (the same parallel
 //     verified pull as image boot: per-chunk digest verification, tamper
-//     isolation, warm BlobCache hits) and replays only the post-snapshot
-//     WAL tail inside accounting spans. A warm node recovering a delta
+//     isolation, warm BlobCache hits), rebuilds the chunk index from the
+//     head manifest and the pulled image, and replays only the
+//     post-snapshot WAL tail inside accounting spans, marking the
+//     replayed keys' chunks dirty so the next snapshot is incremental
+//     too. A warm node recovering a delta
 //     chain therefore fetches the changed chunks, not the dataset.
 //     Snapshot-bootstrap and log-replay sim-cycles are topology
 //     (worker-invariant), so RecoveryStats is CI-gated like every other
-//     simulated figure. Two fuzz targets pin the adversarial floor:
-//     FuzzDecodeWALRecord (every WAL input lands torn, corrupt or valid)
-//     and FuzzRecoverSnapshotChain (every chain mutation — spliced
+//     simulated figure. Fuzz targets pin the adversarial floor:
+//     FuzzDecodeWALRecord and FuzzDecodeWAL (every WAL input lands torn,
+//     corrupt or valid), FuzzDecodeSnapshotChunk (the per-chunk record
+//     decoder) and FuzzRecoverSnapshotChain (every chain mutation — spliced
 //     parent, dropped link, bitflip, truncation, tampered chunk — either
 //     recovers the exact reference state or is refused).
 //

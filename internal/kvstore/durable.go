@@ -6,15 +6,19 @@
 // container engine's verified chunk path, so every chunk is digest-checked
 // and the node BlobCache warms — then replays the post-snapshot WAL tail.
 //
-// Snapshots are incremental: the store tracks which shards changed since
-// the last snapshot, and a clean shard publishes a tiny *reuse* record
-// pointing at its parent sequence instead of re-packing its table. The
-// records form a delta chain seq → parent seq per shard; recovery walks
-// the chain down to the nearest packed manifest. Both seq and parent are
-// bound into the sealed record's AAD, so a chain cannot be spliced: a
-// record re-pointed at a different parent, or republished at a different
-// sequence, fails authentication. Changed shards pack convergently, so
-// unchanged chunks within a changed shard still dedup in the registry.
+// Snapshots are incremental at two grains. A shard's image is cut into
+// record-aligned, content-defined chunks with variable-length leaves
+// (snapimage.go), and the store keeps a per-shard chunk index with a dirty
+// bit per chunk. A changed shard re-reads from its table only the key
+// ranges of its dirty chunks, re-chunks and convergently seals them, and
+// lists its clean chunks' leaves unchanged — so the cost follows the
+// change, not the shard. A clean shard publishes a tiny *reuse* record
+// pointing at its parent sequence instead of a manifest. The records form
+// a delta chain seq → parent seq per shard; recovery walks the chain down
+// to the nearest packed manifest. Both seq and parent are bound into the
+// sealed record's AAD, so a chain cannot be spliced: a record re-pointed
+// at a different parent, or republished at a different sequence, fails
+// authentication.
 //
 // WAL epochs are the retention unit. A packed shard rolls its WAL into the
 // next epoch (the sealed previous epoch stays on the durable medium); a
@@ -84,9 +88,6 @@ type DurableConfig struct {
 	// Engine pulls snapshot blob sets back on recovery (verified chunks,
 	// shared node cache).
 	Engine *container.Engine
-	// SnapChunkSize is the snapshot chunk granularity (default 4 KiB);
-	// smaller chunks dedup more across successive snapshots.
-	SnapChunkSize int
 	// GCRetainEpochs is GC's retention margin: the newest K sealed WAL
 	// epochs per shard survive collection even when a snapshot covers
 	// them (default 1; -1 keeps no margin). GC never touches epochs at
@@ -103,9 +104,11 @@ type DurableStore struct {
 	walKeys  []cryptbox.Key
 	snapKeys []cryptbox.Key
 	snapSeq  uint64
-	// dirty marks shards mutated since their last packed snapshot; a clean
-	// shard's next snapshot record reuses its parent manifest.
-	dirty []bool
+	// index is each shard's chunk index: the chunks of its last packed
+	// image, dirty where a key they hold changed since. A shard with no
+	// dirty chunk publishes a reuse record.
+	index    []chunkIndex
+	chunkers []*chunker
 	// durableEpoch is, per shard, the first WAL epoch recovery would
 	// replay over the newest published snapshot — the GC floor. 0 means
 	// no snapshot covers the shard yet and nothing is collectible.
@@ -168,9 +171,6 @@ func NewDurableStore(cfg DurableConfig) (*DurableStore, error) {
 	if cfg.ShardBytes == 0 {
 		cfg.ShardBytes = 1 << 20
 	}
-	if cfg.SnapChunkSize == 0 {
-		cfg.SnapChunkSize = 4096
-	}
 	if cfg.GCRetainEpochs == 0 {
 		cfg.GCRetainEpochs = 1
 	}
@@ -195,11 +195,16 @@ func NewDurableStore(cfg DurableConfig) (*DurableStore, error) {
 		if err != nil {
 			return nil, err
 		}
+		ck, err := newChunker(sk)
+		if err != nil {
+			return nil, err
+		}
 		ds.walKeys = append(ds.walKeys, wk)
 		ds.snapKeys = append(ds.snapKeys, sk)
 		ds.wals = append(ds.wals, NewWAL(wk, cfg.walName(i), 1))
+		ds.index = append(ds.index, emptyIndex())
+		ds.chunkers = append(ds.chunkers, ck)
 	}
-	ds.dirty = make([]bool, ss.Shards())
 	ds.durableEpoch = make([]uint64, ss.Shards())
 	return ds, nil
 }
@@ -224,9 +229,17 @@ func (ds *DurableStore) PutBatch(pairs []Pair) error {
 		if err := ds.wals[i].Append(g); err != nil {
 			return fmt.Errorf("kvstore: wal shard %d: %w", i, err)
 		}
-		ds.dirty[i] = true
+		for _, op := range g {
+			ds.index[i].markDirty(op.Key)
+		}
 	}
 	return ds.ShardedStore.PutBatch(pairs)
+}
+
+// Put logs and applies one write, as a one-pair PutBatch (the embedded
+// ShardedStore.Put would skip the WAL and the chunk index).
+func (ds *DurableStore) Put(key string, value []byte) error {
+	return ds.PutBatch([]Pair{{Key: key, Value: value}})
 }
 
 // Delete logs and applies one deletion.
@@ -235,7 +248,7 @@ func (ds *DurableStore) Delete(key string) (bool, error) {
 	if err := ds.wals[i].Append([]WALOp{{Key: key, Delete: true}}); err != nil {
 		return false, fmt.Errorf("kvstore: wal shard %d: %w", i, err)
 	}
-	ds.dirty[i] = true
+	ds.index[i].markDirty(key)
 	return ds.ShardedStore.Delete(key), nil
 }
 
@@ -260,30 +273,35 @@ type SnapshotStats struct {
 	// pointing at their parent manifest instead.
 	ShardsPacked int
 	ShardsReused int
-	// ChunksPublished counts chunks submitted for packed shards;
-	// ChunksDeduped is how many of those the registry already held
-	// (convergent chunks — unchanged content is bit-identical).
+	// ChunksPublished counts the leaves of packed shards' manifests;
+	// ChunksSealed counts those re-read from the table and sealed (the
+	// rest are clean chunks listed from the index); ChunksDeduped is how
+	// many leaves the registry already held (reused leaves, and convergent
+	// chunks whose re-sealed content came out bit-identical).
 	ChunksPublished int
+	ChunksSealed    int
 	ChunksDeduped   int
-	// BytesPublished sums the submitted chunk bytes.
+	// BytesPublished sums the sealed chunk bytes submitted.
 	BytesPublished int64
-	// PackCycles sums the sim-cycles charged reading packed shards'
-	// tables. Reused shards skip the read entirely — the delta saving.
+	// PackCycles sums the sim-cycles charged reading the key ranges of
+	// packed shards' dirty chunks. Clean chunks and reused shards skip the
+	// read entirely — the delta saving.
 	PackCycles sim.Cycles
 }
 
-// Snapshot publishes an incremental snapshot: dirty shards pack their
-// table as a content-addressed blob set (unchanged chunks dedup), clean
-// shards publish a reuse record chaining to their previous manifest.
-// Packed shards roll their WAL into the next epoch; reused shards keep
-// their current (empty) epoch. Shards publish in shard order —
-// deterministic bytes, names and sequence for any worker count.
+// Snapshot publishes an incremental snapshot: each dirty shard re-reads
+// and re-seals only its dirty chunks' key ranges and lists its clean
+// chunks unchanged; each clean shard publishes a reuse record chaining to
+// its previous manifest. Packed shards roll their WAL into the next epoch;
+// reused shards keep their current (empty) epoch. Shards publish in shard
+// order — deterministic bytes, names and sequence for any worker count.
 func (ds *DurableStore) Snapshot() (SnapshotStats, error) {
 	return ds.snapshot(false)
 }
 
-// SnapshotFull packs and publishes every shard regardless of dirty state —
-// the non-incremental baseline (and the shape every first snapshot takes).
+// SnapshotFull marks every chunk of every shard dirty, so each shard is
+// re-read and re-chunked whole — the non-incremental baseline (a first
+// snapshot, with nothing published yet, takes the same shape).
 func (ds *DurableStore) SnapshotFull() (SnapshotStats, error) {
 	return ds.snapshot(true)
 }
@@ -291,9 +309,12 @@ func (ds *DurableStore) SnapshotFull() (SnapshotStats, error) {
 func (ds *DurableStore) snapshot(full bool) (SnapshotStats, error) {
 	parent := ds.snapSeq
 	st := SnapshotStats{Seq: parent + 1}
-	for i, sh := range ds.shards {
+	for i := range ds.shards {
 		name := ds.cfg.snapName(i)
-		if !full && !ds.dirty[i] && parent > 0 {
+		if full {
+			ds.index[i].markAll()
+		}
+		if !ds.index[i].anyDirty() && parent > 0 {
 			// Clean shard with a published parent: chain, don't pack. The
 			// current epoch is empty (nothing was appended since the shard
 			// was last clean), so recovery replays from it directly.
@@ -312,40 +333,17 @@ func (ds *DurableStore) snapshot(full bool) (SnapshotStats, error) {
 			st.ShardsReused++
 			continue
 		}
-		var before sim.Cycles
-		if sh.mem != nil {
-			before = sh.mem.Cycles()
-		}
-		sh.mu.Lock()
-		pairs, err := sh.st.Range("", "")
-		sh.mu.Unlock()
+		idx, chunks, err := ds.packShard(i, &st)
 		if err != nil {
 			return st, err
 		}
-		if sh.mem != nil {
-			st.PackCycles += sh.mem.Cycles() - before
-		}
-		ops := make([]WALOp, len(pairs))
-		for j, p := range pairs {
-			ops[j] = WALOp{Key: p.Key, Value: p.Value}
-		}
-		payload, err := encodeWALOps(ops)
-		if err != nil {
-			return st, err
-		}
-		m, chunks, err := transfer.PackConvergent(name, payload, ds.cfg.SnapChunkSize)
-		if err != nil {
-			return st, err
-		}
+		m := idx.manifest(name)
 		stored, err := ds.cfg.Registry.PutBlobSet(m, chunks)
 		if err != nil {
 			return st, err
 		}
 		st.ChunksPublished += len(chunks)
 		st.ChunksDeduped += len(chunks) - stored
-		for _, c := range chunks {
-			st.BytesPublished += int64(len(c))
-		}
 		nextEpoch := ds.wals[i].Epoch() + 1
 		man := snapshotManifest{
 			Service: ds.cfg.Service, Shard: i, Seq: st.Seq, Parent: parent,
@@ -359,12 +357,84 @@ func (ds *DurableStore) snapshot(full bool) (SnapshotStats, error) {
 			return st, err
 		}
 		ds.wals[i].Roll(nextEpoch)
-		ds.dirty[i] = false
+		ds.index[i] = idx
 		ds.durableEpoch[i] = nextEpoch
 		st.ShardsPacked++
 	}
 	ds.snapSeq = st.Seq
 	return st, nil
+}
+
+// packShard builds shard i's next image from its chunk index: each run of
+// adjacent dirty chunks is re-read from the table with one Range over its
+// key range (charged to the shard's memory), re-chunked and sealed; clean
+// chunks are listed unchanged with a nil chunk, the registry's
+// reuse-by-reference. It returns the new, all-clean index and the chunk
+// list for PutBlobSet; the live index is untouched until publish succeeds.
+func (ds *DurableStore) packShard(i int, st *SnapshotStats) (chunkIndex, [][]byte, error) {
+	sh, old := ds.shards[i], ds.index[i]
+	idx := make(chunkIndex, 0, len(old))
+	var chunks [][]byte
+	add := func(first string, plain []byte) error {
+		key, sealed, err := transfer.SealConvergent(plain)
+		if err != nil {
+			return err
+		}
+		idx = append(idx, snapChunk{first: first, leaf: cryptbox.Sum(sealed), key: key, length: len(plain)})
+		chunks = append(chunks, sealed)
+		st.ChunksSealed++
+		st.BytesPublished += int64(len(sealed))
+		return nil
+	}
+	for a := 0; a < len(old); {
+		if !old[a].dirty {
+			idx = append(idx, old[a])
+			chunks = append(chunks, nil)
+			a++
+			continue
+		}
+		b := a + 1
+		for b < len(old) && old[b].dirty {
+			b++
+		}
+		var lo, hi string
+		if a > 0 {
+			lo = old[a].first
+		}
+		if b < len(old) {
+			hi = old[b].first
+		}
+		a = b
+		var before sim.Cycles
+		if sh.mem != nil {
+			before = sh.mem.Cycles()
+		}
+		sh.mu.Lock()
+		pairs, err := sh.st.Range(lo, hi)
+		sh.mu.Unlock()
+		if err != nil {
+			return nil, nil, err
+		}
+		if sh.mem != nil {
+			st.PackCycles += sh.mem.Cycles() - before
+		}
+		plains, firsts, err := ds.chunkers[i].cut(pairs)
+		if err != nil {
+			return nil, nil, err
+		}
+		for j, plain := range plains {
+			if err := add(firsts[j], plain); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	if len(idx) == 0 {
+		// Every record is gone: an empty shard is one zero-length chunk.
+		if err := add("", nil); err != nil {
+			return nil, nil, err
+		}
+	}
+	return idx, chunks, nil
 }
 
 // GCStats is what one GC pass retired.
@@ -537,10 +607,11 @@ func RecoverDurableStore(cfg DurableConfig, segments [][]WALSegment) (*DurableSt
 			if err != nil {
 				return nil, rs, fmt.Errorf("kvstore: snapshot %s: %w", name, err)
 			}
-			ops, err := decodeWALOps(payload)
+			idx, ops, err := decodeSnapshotImage(man, payload)
 			if err != nil {
 				return nil, rs, fmt.Errorf("kvstore: snapshot %s: %w", name, err)
 			}
+			ds.index[i] = idx
 			applied, err := ds.applyShardOps(i, ops)
 			if err != nil {
 				return nil, rs, err
@@ -599,6 +670,11 @@ func RecoverDurableStore(cfg DurableConfig, segments [][]WALSegment) (*DurableSt
 					return nil, rs, err
 				}
 				rs.LogReplayCycles += applied
+				// Replayed records are state the next snapshot must pack:
+				// their chunks go dirty as in a never-crashed twin.
+				for _, op := range ops {
+					ds.index[i].markDirty(op.Key)
+				}
 			}
 			shardReplayed += len(batches)
 			if final {
@@ -616,9 +692,6 @@ func RecoverDurableStore(cfg DurableConfig, segments [][]WALSegment) (*DurableSt
 		}
 		w.segs = retained
 		ds.wals[i] = w
-		// Replayed records are state the next snapshot must pack — a reuse
-		// record here would point at a manifest missing the tail.
-		ds.dirty[i] = shardReplayed > 0
 		rs.RecordsReplayed += shardReplayed
 	}
 	return ds, rs, nil

@@ -67,20 +67,29 @@ func encodeWALOps(ops []WALOp) ([]byte, error) {
 	buf := make([]byte, 4, 4+len(ops)*16)
 	binary.BigEndian.PutUint32(buf, uint32(len(ops)))
 	for _, op := range ops {
-		if len(op.Key) > 0xFFFF {
-			return nil, fmt.Errorf("kvstore: wal key %d bytes exceeds 64KiB", len(op.Key))
+		var err error
+		if buf, err = appendWALOp(buf, op); err != nil {
+			return nil, err
 		}
-		var flags byte
-		if op.Delete {
-			flags = 1
-		}
-		buf = append(buf, flags)
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(op.Key)))
-		buf = append(buf, op.Key...)
-		if !op.Delete {
-			buf = binary.BigEndian.AppendUint32(buf, uint32(len(op.Value)))
-			buf = append(buf, op.Value...)
-		}
+	}
+	return buf, nil
+}
+
+// appendWALOp appends one op's record (flags, key, value) to buf.
+func appendWALOp(buf []byte, op WALOp) ([]byte, error) {
+	if len(op.Key) > 0xFFFF {
+		return nil, fmt.Errorf("kvstore: wal key %d bytes exceeds 64KiB", len(op.Key))
+	}
+	var flags byte
+	if op.Delete {
+		flags = 1
+	}
+	buf = append(buf, flags)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(op.Key)))
+	buf = append(buf, op.Key...)
+	if !op.Delete {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(op.Value)))
+		buf = append(buf, op.Value...)
 	}
 	return buf, nil
 }
@@ -99,38 +108,50 @@ func decodeWALOps(buf []byte) ([]WALOp, error) {
 	}
 	ops := make([]WALOp, 0, count)
 	for i := 0; i < count; i++ {
-		if len(rest) < walOpMinBytes {
-			return nil, fmt.Errorf("kvstore: wal op %d truncated", i)
-		}
-		flags := rest[0]
-		if flags > 1 {
-			return nil, fmt.Errorf("kvstore: wal op %d has unknown flags %#x", i, flags)
-		}
-		klen := int(binary.BigEndian.Uint16(rest[1:3]))
-		rest = rest[3:]
-		if len(rest) < klen {
-			return nil, fmt.Errorf("kvstore: wal op %d key overruns record", i)
-		}
-		op := WALOp{Key: string(rest[:klen]), Delete: flags == 1}
-		rest = rest[klen:]
-		if !op.Delete {
-			if len(rest) < 4 {
-				return nil, fmt.Errorf("kvstore: wal op %d truncated before value length", i)
-			}
-			vlen := int(binary.BigEndian.Uint32(rest))
-			rest = rest[4:]
-			if vlen > len(rest) {
-				return nil, fmt.Errorf("kvstore: wal op %d value overruns record", i)
-			}
-			op.Value = append([]byte(nil), rest[:vlen]...)
-			rest = rest[vlen:]
+		op, n, err := decodeWALOp(rest, i)
+		if err != nil {
+			return nil, err
 		}
 		ops = append(ops, op)
+		rest = rest[n:]
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("kvstore: wal ops carry %d trailing bytes", len(rest))
 	}
 	return ops, nil
+}
+
+// decodeWALOp decodes the op record at the front of buf (op number i, for
+// errors), returning it and the bytes it consumed. Every length is checked
+// against the remaining bytes before use.
+func decodeWALOp(buf []byte, i int) (WALOp, int, error) {
+	if len(buf) < walOpMinBytes {
+		return WALOp{}, 0, fmt.Errorf("kvstore: wal op %d truncated", i)
+	}
+	flags := buf[0]
+	if flags > 1 {
+		return WALOp{}, 0, fmt.Errorf("kvstore: wal op %d has unknown flags %#x", i, flags)
+	}
+	klen := int(binary.BigEndian.Uint16(buf[1:3]))
+	rest := buf[3:]
+	if len(rest) < klen {
+		return WALOp{}, 0, fmt.Errorf("kvstore: wal op %d key overruns record", i)
+	}
+	op := WALOp{Key: string(rest[:klen]), Delete: flags == 1}
+	rest = rest[klen:]
+	if !op.Delete {
+		if len(rest) < 4 {
+			return WALOp{}, 0, fmt.Errorf("kvstore: wal op %d truncated before value length", i)
+		}
+		vlen := int(binary.BigEndian.Uint32(rest))
+		rest = rest[4:]
+		if vlen > len(rest) {
+			return WALOp{}, 0, fmt.Errorf("kvstore: wal op %d value overruns record", i)
+		}
+		op.Value = append([]byte(nil), rest[:vlen]...)
+		rest = rest[vlen:]
+	}
+	return op, len(buf) - len(rest), nil
 }
 
 // walWrapNonceLabel domain-separates the deterministic wrap nonce.

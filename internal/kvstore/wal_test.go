@@ -320,3 +320,41 @@ func TestWALEpochReset(t *testing.T) {
 		t.Fatalf("epoch-2 decode: %v, %d batches", err, len(got))
 	}
 }
+
+// FuzzDecodeWAL walks whole multi-record logs: no input may panic, the
+// clean prefix must stay inside the buffer, damage must come back typed,
+// and a log that decodes cleanly must decode to the same batches again
+// when cut at its reported prefix.
+func FuzzDecodeWAL(f *testing.F) {
+	key, _ := cryptbox.KeyFromBytes(bytes.Repeat([]byte{0x5A}, cryptbox.KeySize))
+	valid := liveTail(buildWAL(f, key, "wal/fuzz", 1, walTestBatches()))
+	bounds := recordBoundaries(f, valid)
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3])
+	f.Add(valid[:bounds[1]])
+	f.Add(flip(valid, bounds[1]+10)) // damage in the middle record
+	f.Add(append(append([]byte(nil), valid...), valid[:bounds[1]]...))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		batches, prefix, err := DecodeWAL(key, "wal/fuzz", 1, data)
+		if prefix < 0 || prefix > len(data) {
+			t.Fatalf("prefix %d outside %d bytes", prefix, len(data))
+		}
+		if err != nil {
+			if !errors.Is(err, ErrWALCorrupt) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		again, p2, err := DecodeWAL(key, "wal/fuzz", 1, data[:prefix])
+		if err != nil || p2 != prefix || len(again) != len(batches) {
+			t.Fatalf("clean prefix %d re-decodes to %d batches, prefix %d, err %v", prefix, len(again), p2, err)
+		}
+		for i := range batches {
+			if !opsEqual(batches[i], again[i]) {
+				t.Fatalf("batch %d differs on re-decode", i)
+			}
+		}
+	})
+}

@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 
+	"securecloud/internal/cryptbox"
 	"securecloud/internal/httpx"
 	"securecloud/internal/transfer"
 )
@@ -33,6 +34,10 @@ type snapshotRecord struct {
 // anything that packs with transfer.PackConvergent. Chunks already present
 // (earlier snapshots, image layers) count as dedup hits; the return value
 // is how many chunks were newly stored, so publishers can see their delta.
+// A nil chunk references a leaf the registry already stores (an unchanged
+// chunk a publisher reuses without re-sealing it); the whole set fails
+// closed, storing nothing, if such a leaf is absent or a chunk does not
+// match its leaf digest.
 func (r *Registry) PutBlobSet(m *transfer.Manifest, chunks [][]byte) (stored int, err error) {
 	if err := m.Validate(); err != nil {
 		return 0, err
@@ -40,9 +45,23 @@ func (r *Registry) PutBlobSet(m *transfer.Manifest, chunks [][]byte) (stored int
 	if len(chunks) != len(m.Leaves) {
 		return 0, fmt.Errorf("%w: %d chunks, %d leaves", ErrManifest, len(chunks), len(m.Leaves))
 	}
+	for i, c := range chunks {
+		if c != nil && cryptbox.Sum(c) != m.Leaves[i] {
+			return 0, fmt.Errorf("%w: chunk %d does not match leaf %s", ErrManifest, i, m.Leaves[i])
+		}
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i, c := range chunks {
+		if _, had := r.blobs[m.Leaves[i]]; c == nil && !had {
+			return 0, fmt.Errorf("%w: reused leaf %d (%s)", ErrNotFound, i, m.Leaves[i])
+		}
+	}
+	for i, c := range chunks {
+		if c == nil {
+			r.dedupHits++
+			continue
+		}
 		_, had := r.blobs[m.Leaves[i]]
 		if err := r.storeBlobLocked(m.Leaves[i], c); err != nil {
 			return stored, err

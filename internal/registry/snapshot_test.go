@@ -69,6 +69,32 @@ func TestPutBlobSetRejectsMismatch(t *testing.T) {
 	}
 }
 
+// TestPutBlobSetReusesStoredLeaves: a nil chunk references a leaf the
+// registry already holds; a nil chunk for an absent leaf fails the whole
+// set closed, storing nothing.
+func TestPutBlobSetReusesStoredLeaves(t *testing.T) {
+	r := New()
+	m, chunks := packSnapshot(t, "snap/a", []byte("0123456789abcdef-first-set-of-chunks-in-the-registry-for-reuse"))
+	if _, err := r.PutBlobSet(m, chunks); err != nil {
+		t.Fatal(err)
+	}
+	reused := make([][]byte, len(chunks))
+	stored, err := r.PutBlobSet(m, reused)
+	if err != nil || stored != 0 {
+		t.Fatalf("all-reused set: stored %d, err %v", stored, err)
+	}
+	other, otherChunks := packSnapshot(t, "snap/b", bytes.Repeat([]byte("new content "), 20))
+	before := r.Stats().Blobs
+	partial := append([][]byte(nil), otherChunks...)
+	partial[len(partial)-1] = nil
+	if _, err := r.PutBlobSet(other, partial); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("nil chunk for an absent leaf: %v", err)
+	}
+	if got := r.Stats().Blobs; got != before {
+		t.Fatalf("failed set stored %d blobs", got-before)
+	}
+}
+
 func TestPublishSnapshotRollbackRejected(t *testing.T) {
 	r := New()
 	if err := r.PublishSnapshot("svc/shard-0", 3, []byte("sealed-3")); err != nil {

@@ -201,6 +201,51 @@ func TestValidateRejectsForgedChunkCount(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsForgedLengths: the per-leaf lengths must be in
+// 1..ChunkSize, one per leaf, and sum to Size; a chunk that inflates to
+// other than its declared length is rejected on open.
+func TestValidateRejectsForgedLengths(t *testing.T) {
+	data := payload(10 << 10)
+	m, chunks, err := PackConvergent("x", data, 4<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Lengths; len(got) != 3 || got[0] != 4<<10 || got[1] != 4<<10 || got[2] != 2<<10 {
+		t.Fatalf("fixed-size lengths = %v", got)
+	}
+	for name, forge := range map[string]func(*Manifest){
+		"sum != size":       func(m *Manifest) { m.Lengths[2]-- },
+		"zero length":       func(m *Manifest) { m.Lengths[0], m.Lengths[2] = 0, 6<<10 },
+		"over chunk size":   func(m *Manifest) { m.Lengths[0], m.Lengths[2] = 5<<10, 1<<10 },
+		"count != leaves":   func(m *Manifest) { m.Lengths = m.Lengths[:2] },
+		"no leaves":         func(m *Manifest) { m.Leaves, m.Lengths, m.Keys, m.Size = nil, nil, nil, 0 },
+		"negative length":   func(m *Manifest) { m.Lengths[0], m.Lengths[2] = -1, 6<<10+1 },
+		"extra empty chunk": func(m *Manifest) { m.Lengths[0] = 0 },
+	} {
+		forged := *m
+		forged.Lengths = append([]int(nil), m.Lengths...)
+		forge(&forged)
+		forged.Root = MerkleRoot(forged.Leaves)
+		if err := forged.Validate(); !errors.Is(err, ErrManifest) {
+			t.Errorf("%s accepted: %v", name, err)
+		}
+	}
+	// Lengths that still sum to Size but misplace a chunk boundary pass
+	// Validate; the opener catches the chunk that inflates to the wrong
+	// length.
+	shifted := *m
+	shifted.Lengths = []int{4<<10 - 1, 4<<10 + 1, 2 << 10}
+	shifted.ChunkSize = 8 << 10
+	if err := shifted.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var sink bytes.Buffer
+	err = Unpack(&shifted, cryptbox.Key{}, &sink, func(i int) ([]byte, error) { return chunks[i], nil })
+	if !errors.Is(err, ErrBadChunk) {
+		t.Fatalf("misplaced boundary unpacked: %v", err)
+	}
+}
+
 func TestDecodeManifestValidates(t *testing.T) {
 	m, _, err := Pack("x", payload(64<<10), key(), 16<<10)
 	if err != nil {
@@ -238,6 +283,19 @@ func FuzzDecodeManifest(f *testing.F) {
 	f.Add([]byte(`{"name":"x","size":1152921504606846976,"chunk_size":1,"leaves":[],"root":[0]}`))
 	f.Add([]byte(`{"chunk_size":0}`))
 	f.Add([]byte(`not json at all`))
+	// Forged lengths: each manifest is valid but for its lengths.
+	for _, forge := range []func(*Manifest){
+		func(m *Manifest) { m.Lengths[0]++ },                     // sum != Size
+		func(m *Manifest) { m.Lengths[0], m.Lengths[1] = 0, 12 }, // a zero length
+		func(m *Manifest) { m.Lengths[0], m.Lengths[1] = 9, 3 },  // a length > ChunkSize
+		func(m *Manifest) { m.Lengths = m.Lengths[1:] },          // length count != leaf count
+	} {
+		forged := *m
+		forged.Lengths = append([]int(nil), m.Lengths...)
+		forge(&forged)
+		raw, _ := json.Marshal(&forged)
+		f.Add(raw)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := DecodeManifest(b)
 		if err != nil {

@@ -6,6 +6,13 @@
 // order, resume after interruption, and be verified chunk-by-chunk without
 // trusting the transport.
 //
+// A manifest lists one plaintext length per leaf, and ChunkSize is the
+// per-chunk maximum, so leaves may vary in length. The fixed-size packers
+// here cut every chunk but the last at exactly ChunkSize; callers that cut
+// their own chunks (the kvstore snapshot image cuts record-aligned,
+// content-defined ones) build the manifest from SealConvergent leaves.
+// Validate applies one geometry rule to both.
+//
 // The package is the chunk substrate of the content-addressed data plane:
 // the registry and container layers store and move sealed chunks keyed by
 // their content digest. Two sealing modes exist:
@@ -67,11 +74,14 @@ var (
 // request, or a signed image manifest), while the bulk chunks travel any
 // untrusted way.
 type Manifest struct {
-	Name      string            `json:"name"`
-	Size      int64             `json:"size"`
+	Name string `json:"name"`
+	Size int64  `json:"size"`
+	// ChunkSize bounds every chunk's plaintext length.
 	ChunkSize int               `json:"chunk_size"`
 	Leaves    []cryptbox.Digest `json:"leaves"`
-	Root      cryptbox.Digest   `json:"root"`
+	// Lengths holds each leaf's plaintext length, in leaf order.
+	Lengths []int           `json:"lengths"`
+	Root    cryptbox.Digest `json:"root"`
 	// Keys holds the per-chunk convergent keys (PackConvergent). Empty for
 	// keyed payloads. Whoever holds the manifest can decrypt — by design:
 	// the manifest is the trusted summary, the chunk store is not.
@@ -84,26 +94,34 @@ func (m *Manifest) Chunks() int { return len(m.Leaves) }
 // Convergent reports whether the payload was packed convergently.
 func (m *Manifest) Convergent() bool { return len(m.Keys) > 0 }
 
-// Validate checks the manifest's internal consistency: the root over the
-// leaves, and — mirroring the scbr codec's forged-count fix — that the leaf
-// count is exactly what the declared geometry implies, so a forged manifest
-// cannot demand absurd chunk counts or smuggle extra leaves. ChunkSize is
-// capped at maxInflate, which (with the per-chunk plaintext bound enforced
-// on open) keeps a forged Size from driving unbounded allocations.
+// Validate checks the manifest's internal consistency with one rule for
+// every packer: leaf, length and (for convergent payloads) key counts are
+// equal; each length is in 1..ChunkSize; the lengths sum to Size; the root
+// matches the leaves. The one exception is the empty payload, a single
+// leaf of length 0. So a forged manifest cannot demand absurd chunk counts,
+// smuggle extra leaves or declare a Size its chunks do not deliver.
+// ChunkSize is capped at maxInflate, which (with the per-chunk length check
+// on open) keeps a forged manifest from driving unbounded allocations.
 func (m *Manifest) Validate() error {
 	if m.ChunkSize <= 0 || m.ChunkSize > maxInflate || m.Size < 0 {
 		return fmt.Errorf("%w: bad geometry", ErrManifest)
 	}
-	want := int((m.Size + int64(m.ChunkSize) - 1) / int64(m.ChunkSize))
-	if want == 0 {
-		want = 1
-	}
-	if len(m.Leaves) != want {
-		return fmt.Errorf("%w: %d leaves for %d bytes at chunk size %d (want %d)",
-			ErrManifest, len(m.Leaves), m.Size, m.ChunkSize, want)
+	if len(m.Leaves) == 0 || len(m.Lengths) != len(m.Leaves) {
+		return fmt.Errorf("%w: %d lengths for %d leaves", ErrManifest, len(m.Lengths), len(m.Leaves))
 	}
 	if len(m.Keys) != 0 && len(m.Keys) != len(m.Leaves) {
 		return fmt.Errorf("%w: %d keys for %d leaves", ErrManifest, len(m.Keys), len(m.Leaves))
+	}
+	empty := len(m.Lengths) == 1 && m.Lengths[0] == 0
+	var sum int64
+	for i, n := range m.Lengths {
+		if (n < 1 && !empty) || n > m.ChunkSize {
+			return fmt.Errorf("%w: chunk %d length %d outside 1..%d", ErrManifest, i, n, m.ChunkSize)
+		}
+		sum += int64(n)
+	}
+	if sum != m.Size {
+		return fmt.Errorf("%w: lengths sum to %d bytes, size says %d", ErrManifest, sum, m.Size)
 	}
 	if MerkleRoot(m.Leaves) != m.Root {
 		return fmt.Errorf("%w: root does not match leaves", ErrManifest)
@@ -252,6 +270,7 @@ func packStream(name string, r io.Reader, chunkSize int, convergent bool,
 		}
 		m.Size += int64(n)
 		m.Leaves = append(m.Leaves, cryptbox.Sum(sealed))
+		m.Lengths = append(m.Lengths, n)
 		if emit != nil {
 			if err := emit(idx, sealed); err != nil {
 				return nil, err
@@ -368,9 +387,13 @@ func (op *opener) open(idx int, sealed []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: decrypting %d", ErrBadChunk, idx)
 	}
-	plain, err := inflate(compressed, op.m.ChunkSize)
+	plain, err := inflate(compressed, op.m.Lengths[idx])
 	if err != nil {
 		return nil, fmt.Errorf("transfer: inflating chunk %d: %w", idx, err)
+	}
+	if len(plain) != op.m.Lengths[idx] {
+		return nil, fmt.Errorf("%w: chunk %d inflates to %d bytes, manifest says %d",
+			ErrBadChunk, idx, len(plain), op.m.Lengths[idx])
 	}
 	return plain, nil
 }
@@ -514,7 +537,7 @@ func deflate(data []byte) ([]byte, error) {
 }
 
 // inflate decompresses one chunk, rejecting output beyond limit (a chunk's
-// plaintext can never legitimately exceed the manifest's ChunkSize, so
+// plaintext can never legitimately exceed its manifest length, so
 // anything larger is forged — erroring beats silent truncation, which
 // would surface as a confusing manifest-inconsistency later).
 func inflate(data []byte, limit int) ([]byte, error) {

@@ -20,7 +20,8 @@
 #                                fsshield/shield/sconert)
 # 6. fuzz smoke                 (each Fuzz* target of the untrusted-input
 #                                decoders runs for 5 s: WAL record,
-#                                snapshot chain, SCBR plaintext, transfer
+#                                whole WAL, snapshot chunk, snapshot
+#                                chain, SCBR plaintext, transfer
 #                                manifest, plane frame, wire frame batch,
 #                                image layer)
 # 7. bench gate                 (scripts/bench_smoke.sh reruns every bench
@@ -80,6 +81,8 @@ go test -race "${RACE_PKGS[@]}"
 
 FUZZ_TARGETS=(
     ./internal/kvstore:FuzzDecodeWALRecord
+    ./internal/kvstore:FuzzDecodeWAL
+    ./internal/kvstore:FuzzDecodeSnapshotChunk
     ./internal/kvstore:FuzzRecoverSnapshotChain
     ./internal/scbr:FuzzDecodeEvent
     ./internal/transfer:FuzzDecodeManifest
